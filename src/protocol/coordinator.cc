@@ -1,6 +1,7 @@
 #include "src/protocol/coordinator.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/common/metrics.h"
@@ -51,9 +52,45 @@ CommitCoordinator::CommitCoordinator(Transport* transport, Address self,
 // chunks. Big enough for every quorum config the tests and benches use.
 constexpr size_t kFanoutChunk = 8;
 
-void CommitCoordinator::Start() {
+void SendWithDecision(Transport* transport, Message* requests, size_t n,
+                      std::vector<Message>* decision) {
+  if (decision == nullptr || decision->empty()) {
+    transport->SendMany(requests, n);
+    return;
+  }
+  // Staged on the stack like the fan-outs; a merge that outgrows the stage
+  // flushes in order, so each decision still precedes its request.
+  Message out[2 * kFanoutChunk];
+  size_t k = 0;
+  auto stage = [&](Message& msg) {
+    if (k == std::size(out)) {
+      transport->SendMany(out, k);
+      k = 0;
+    }
+    out[k++] = std::move(msg);
+  };
+  std::vector<Message>& d = *decision;
+  size_t used = 0;  // d[0, used) is already staged.
+  for (size_t i = 0; i < n; i++) {
+    for (size_t j = used; j < d.size(); j++) {
+      if (d[j].dst == requests[i].dst && d[j].core == requests[i].core) {
+        std::rotate(d.begin() + used, d.begin() + j, d.begin() + j + 1);
+        stage(d[used++]);
+        break;
+      }
+    }
+    stage(requests[i]);
+  }
+  for (; used < d.size(); used++) {
+    stage(d[used]);
+  }
+  d.clear();
+  transport->SendMany(out, k);
+}
+
+void CommitCoordinator::Start(std::vector<Message>* decision) {
   start_ns_ = phase_start_ns_ = MetricsNowNanos();
-  SendValidates(/*only_missing=*/false);
+  SendValidates(/*only_missing=*/false, decision);
   ArmTimer(kValidatePhaseTimer);
 }
 
@@ -64,7 +101,7 @@ void CommitCoordinator::ArmTimer(uint64_t phase_timer) {
   }
 }
 
-void CommitCoordinator::SendValidates(bool only_missing) {
+void CommitCoordinator::SendValidates(bool only_missing, std::vector<Message>* decision) {
   // Fan-outs are staged on the stack and handed to the transport as one
   // batch: in-process transports just loop, the UDP transport turns the whole
   // quorum into a single sendmmsg. Quorums are small, so one chunk almost
@@ -87,12 +124,12 @@ void CommitCoordinator::SendValidates(bool only_missing) {
     msg.payload = std::move(req);
     sent++;
     if (++k == kFanoutChunk) {
-      transport_->SendMany(batch, k);
+      SendWithDecision(transport_, batch, k, decision);
       k = 0;
     }
   }
   if (k != 0) {
-    transport_->SendMany(batch, k);
+    SendWithDecision(transport_, batch, k, decision);
   }
   if (sent > 1) {
     LocalFastPathCounters().payload_fanout_shares += sent - 1;
@@ -123,25 +160,22 @@ void CommitCoordinator::SendAccepts() {
   TraceRecord(tid_, TraceStep::kAcceptSent, proposal_commit_ ? 1 : 0);
 }
 
-void CommitCoordinator::BroadcastDecision(bool commit) {
-  // Asynchronous write-phase message; in the paper this piggybacks on the
-  // client's next request, which the simulator's cost model reflects by
-  // charging no extra round trip (the decision never blocks the client).
-  Message batch[kFanoutChunk];
-  size_t k = 0;
+void CommitCoordinator::AppendDecision(bool commit, std::vector<Message>* out) const {
+  // The write phase is asynchronous: the client learns the outcome from the
+  // validation quorum, and the owner sends this after the completion
+  // callback. In the paper the decision piggybacks on the client's next
+  // request; MeerkatSession does exactly that when the callback starts a
+  // transaction, and sends it alone as soon as the callback returns
+  // otherwise. Either way its send is not on the finished transaction's
+  // critical path, which is why the simulator's cost model charges no round
+  // trip for it.
   for (ReplicaId r = 0; r < quorum_.n; r++) {
-    Message& msg = batch[k];
+    Message msg;
     msg.src = self_;
     msg.dst = Address::Replica(group_base_ + r);
     msg.core = core_;
     msg.payload = CommitRequest{tid_, commit, ts_, oldest_inflight_};
-    if (++k == kFanoutChunk) {
-      transport_->SendMany(batch, k);
-      k = 0;
-    }
-  }
-  if (k != 0) {
-    transport_->SendMany(batch, k);
+    out->push_back(std::move(msg));
   }
   TraceRecord(tid_, TraceStep::kDecisionBroadcast, commit ? 1 : 0);
 }
@@ -254,9 +288,6 @@ bool CommitCoordinator::OnMessage(const Message& msg) {
     accept_ok_.insert(reply->from);
     if (accept_ok_.size() >= quorum_.Majority()) {
       TraceRecord(tid_, TraceStep::kSlowPathDecision, proposal_commit_ ? 1 : 0);
-      if (!defer_decision_) {
-        BroadcastDecision(proposal_commit_);
-      }
       Finish(proposal_commit_ ? TxnResult::kCommit : TxnResult::kAbort, CommitPath::kSlow,
              AbortReason::kOccConflict);
     }
@@ -271,17 +302,11 @@ void CommitCoordinator::MaybeDecideValidation() {
   if (!force_slow_path_) {
     if (ok_count_ >= quorum_.SuperMajority()) {
       TraceRecord(tid_, TraceStep::kFastPathDecision, 1);
-      if (!defer_decision_) {
-        BroadcastDecision(true);
-      }
       Finish(TxnResult::kCommit, CommitPath::kFast, AbortReason::kNone);
       return;
     }
     if (abort_count_ >= quorum_.SuperMajority()) {
       TraceRecord(tid_, TraceStep::kFastPathDecision, 0);
-      if (!defer_decision_) {
-        BroadcastDecision(false);
-      }
       Finish(TxnResult::kAbort, CommitPath::kFast, AbortReason::kOccConflict);
       return;
     }
@@ -294,9 +319,6 @@ void CommitCoordinator::MaybeDecideValidation() {
   size_t received = validate_replied_.size();
   size_t votes = ok_count_ + abort_count_;
   if (shed_count_ > 0 && votes + (quorum_.n - received) < quorum_.Majority()) {
-    if (!defer_decision_) {
-      BroadcastDecision(false);
-    }
     Finish(TxnResult::kAbort, CommitPath::kNone, AbortReason::kOverload);
     return;
   }

@@ -7,10 +7,13 @@
 //            -> (mixed replies / quorum only)          slow path: ACCEPT round
 //   ACCEPT   -> (f+1 matching accepts)                 decide
 //
-// and asynchronously broadcasts the COMMIT/ABORT decision. It is runtime-
-// agnostic: the owner (a MeerkatSession, or a test) feeds replies in via
-// OnMessage and timeouts via OnTimer; the machine emits messages through the
-// Transport and reports completion through a callback.
+// The asynchronous COMMIT/ABORT decision is the owner's to send: the machine
+// only builds it (AppendDecision), so a MeerkatSession can carry it out with
+// its next request and a ShardedSession can send the conjunction of its
+// shards' decisions. It is runtime-agnostic: the owner (a session, or a test)
+// feeds replies in via OnMessage and timeouts via OnTimer; the machine emits
+// VALIDATE/ACCEPT rounds through the Transport and reports completion
+// through a callback.
 //
 // A BackupCoordinator finishes an orphaned transaction after its coordinator
 // failed: a Paxos-prepare-like CoordChange round establishes a new view and
@@ -71,14 +74,6 @@ class CommitCoordinator {
   // of matching replies (measures what the fast path is worth).
   void set_force_slow_path(bool force) { force_slow_path_ = force; }
 
-  // Multi-shard mode (paper §5.2.4): this coordinator validates one shard of
-  // a distributed transaction. The decision is *deferred*: outcome() reports
-  // what this shard decided, but no COMMIT/ABORT is broadcast until the
-  // parent, having heard from every shard, calls BroadcastFinal with the
-  // conjunction of the shard decisions (the atomic-commitment step).
-  void set_defer_decision(bool defer) { defer_decision_ = defer; }
-  void BroadcastFinal(bool commit) { BroadcastDecision(commit); }
-
   // The replica group this coordinator talks to: replicas
   // [group_base, group_base + n). Shard s of a sharded deployment registers
   // its replicas at base s*n.
@@ -101,7 +96,16 @@ class CommitCoordinator {
   CommitCoordinator(const CommitCoordinator&) = delete;
   CommitCoordinator& operator=(const CommitCoordinator&) = delete;
 
-  void Start();
+  // Sends the VALIDATE fan-out. A non-empty `decision` (the owner's previous
+  // transaction's COMMIT/ABORT messages) rides in the same SendMany; see
+  // SendWithDecision.
+  void Start(std::vector<Message>* decision = nullptr);
+
+  // Appends one CommitRequest{commit} per replica of the group to `out`. The
+  // coordinator never sends its decision itself: once done() with a kCommit
+  // or kAbort outcome, the owner appends it (a multi-shard owner with the
+  // conjunction of its shards' outcomes, paper §5.2.4) and sends it.
+  void AppendDecision(bool commit, std::vector<Message>* out) const;
 
   // Feeds a reply; returns true if it belonged to this transaction.
   bool OnMessage(const Message& msg);
@@ -125,9 +129,8 @@ class CommitCoordinator {
  private:
   enum class Phase { kValidating, kAccepting, kDone };
 
-  void SendValidates(bool only_missing);
+  void SendValidates(bool only_missing, std::vector<Message>* decision = nullptr);
   void SendAccepts();
-  void BroadcastDecision(bool commit);
   void Finish(TxnResult result, CommitPath path, AbortReason reason);
   void MaybeDecideValidation();
   void ArmTimer(uint64_t phase_timer);
@@ -155,7 +158,6 @@ class CommitCoordinator {
   uint64_t start_ns_ = 0;
   uint64_t phase_start_ns_ = 0;
   bool force_slow_path_ = false;
-  bool defer_decision_ = false;
   ReplicaId group_base_ = 0;
   uint8_t priority_ = 0;
   Timestamp oldest_inflight_;
@@ -179,6 +181,15 @@ class CommitCoordinator {
   std::set<ReplicaId> accept_ok_;
   size_t accept_rejects_ = 0;
 };
+
+// Sends `requests` and `decision` (a finished transaction's COMMIT/ABORT
+// messages) in one SendMany, then empties `decision`. Each request goes right
+// after the decision message bound for the same (replica, core), so the UDP
+// wire coalesces the pair into one datagram and the replica core applies the
+// decision before it serves the request; the unmatched decision messages
+// follow the requests. With no decision it is a plain SendMany.
+void SendWithDecision(Transport* transport, Message* requests, size_t n,
+                      std::vector<Message>* decision);
 
 class BackupCoordinator {
  public:

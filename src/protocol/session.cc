@@ -107,7 +107,7 @@ void MeerkatSession::SendGet(const std::string& key) {
   msg.core = static_cast<CoreId>(rng_.NextBounded(options_.cores_per_replica));
   msg.payload = GetRequest{last_tid_, get_seq_, key};
   TraceRecord(last_tid_, TraceStep::kGetSent, static_cast<uint32_t>(get_seq_));
-  transport_->Send(std::move(msg));
+  SendWithDecision(transport_, &msg, 1, &decision_);
   if (retry_.enabled()) {
     transport_->SetTimer(self_, 0, retry_.DelayNanos(get_retries_, rng_), get_seq_);
   }
@@ -136,7 +136,7 @@ void MeerkatSession::StartCommit() {
   // Watermark-GC stamp: this session runs one transaction at a time, so its
   // oldest possibly-retransmitted timestamp is exactly the one it proposes.
   coordinator_->set_oldest_inflight(last_ts_);
-  coordinator_->Start();
+  coordinator_->Start(&decision_);
 }
 
 void MeerkatSession::MaybeFinishCommit() {
@@ -148,6 +148,11 @@ void MeerkatSession::MaybeFinishCommit() {
 }
 
 void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
+  if (outcome.result != TxnResult::kFailed) {
+    // Held until after the callback: a transaction the callback starts
+    // carries it out with its first request.
+    coordinator_->AppendDecision(outcome.result == TxnResult::kCommit, &decision_);
+  }
   TxnOutcome out;
   out.result = outcome.result;
   out.path = outcome.path;
@@ -193,6 +198,11 @@ void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
     }
   }
   FinishTxn(out);
+  // The callback started nothing that took the decision along: send it now.
+  if (!decision_.empty()) {
+    transport_->SendMany(decision_.data(), decision_.size());
+    decision_.clear();
+  }
 }
 
 void MeerkatSession::FailTxn(AbortReason reason) {

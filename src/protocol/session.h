@@ -153,6 +153,10 @@ class MeerkatSession : public ClientSession {
   uint64_t txn_retransmits_ GUARDED_BY(mu_) = 0;  // All execute-phase re-sends this attempt.
 
   std::unique_ptr<CommitCoordinator> coordinator_ GUARDED_BY(mu_);
+  // The finished transaction's COMMIT/ABORT messages between its completion
+  // callback and their send (see OnCommitDone); empty otherwise. Its
+  // capacity is reused across transactions.
+  std::vector<Message> decision_ GUARDED_BY(mu_);
 };
 
 }  // namespace meerkat

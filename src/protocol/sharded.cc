@@ -207,7 +207,6 @@ void ShardedSession::StartCommit() {
         transport_, self_, cluster_->options().system.quorum, core_, last_tid_, last_ts_,
         std::move(sets.first), std::move(sets.second), retry_,
         kCoordTimerBase + (txn_seq_ * 64 + shard_index) * 4, /*done=*/nullptr);
-    coordinator->set_defer_decision(true);
     coordinator->set_group_base(cluster_->GlobalId(shard, 0));
     coordinator->set_priority(plan_.priority);
     coordinator->set_cache(cache_);  // Piggybacked invalidation hints.
@@ -266,10 +265,12 @@ void ShardedSession::MaybeFinishCommit() {
   decision_sent_ = true;
   // Atomic commitment: commit iff every shard's validation round committed.
   bool commit = all_commit && !any_failed;
+  std::vector<Message> decision;
   for (auto& [shard, coordinator] : coordinators_) {
     (void)shard;
-    coordinator->BroadcastFinal(commit);
+    coordinator->AppendDecision(commit, &decision);
   }
+  transport_->SendMany(decision.data(), decision.size());
   TxnOutcome out;
   out.tid = last_tid_;
   out.commit_ts = last_ts_;

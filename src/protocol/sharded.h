@@ -13,9 +13,9 @@
 //          <-----------------------------------'
 //   final = AND(shard decisions); ---COMMIT/ABORT---> all involved shards
 //
-// The per-shard CommitCoordinators run in deferred mode: they decide (fast or
-// slow path) but withhold the write-phase broadcast until the conjunction is
-// known. A shard that voted to commit while another aborts receives ABORT,
+// The per-shard CommitCoordinators decide (fast or slow path) but never send
+// the write phase themselves; the session sends the conjunction once it is
+// known, to every involved shard in one SendMany. A shard that voted to commit while another aborts receives ABORT,
 // and its replicas back out their readers/writers registrations — standard
 // OCC 2PC semantics on top of the unchanged replica code.
 //
@@ -187,7 +187,7 @@ class ShardedSession : public ClientSession {
   uint32_t get_retries_ GUARDED_BY(mu_) = 0;
   uint64_t txn_retransmits_ GUARDED_BY(mu_) = 0;
 
-  // shard -> deferred per-shard coordinator for the in-flight commit.
+  // shard -> per-shard coordinator for the in-flight commit.
   std::map<size_t, std::unique_ptr<CommitCoordinator>> coordinators_ GUARDED_BY(mu_);
   bool decision_sent_ GUARDED_BY(mu_) = false;
 };

@@ -4,8 +4,11 @@
 #include <linux/filter.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -61,6 +64,9 @@ constexpr size_t kSteerBytes = 4;
 constexpr size_t kMaxDatagram = 65507;
 // Receive slab stride; at 64 KiB no legal datagram can truncate.
 constexpr size_t kRecvBufSize = 1u << 16;
+// How long a poller stays blocked in recvmmsg before it rechecks its stop and
+// pause flags, so a lost Stop wake datagram can never wedge shutdown.
+constexpr timeval kRecvTimeout{0, 100 * 1000};
 
 [[noreturn]] void Fatal(const char* fmt, ...) {
   va_list ap;
@@ -89,6 +95,10 @@ int OpenBoundSocket(uint16_t port, bool reuseport, uint16_t* bound_port) {
   // protocol tolerates, but there is no reason to make loss the common case.
   int rcvbuf = 1 << 20;
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kRecvTimeout, sizeof(kRecvTimeout)) != 0) {
+    ::close(fd);
+    return -1;
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -379,7 +389,7 @@ void UdpTransport::UnregisterEndpoint(const Address& addr, CoreId core) {
   // group or the join-order/core mapping breaks); only the receiver detaches.
   ep->receiver.store(nullptr, std::memory_order_seq_cst);
   // Wait out an in-flight dispatch batch so the caller may destroy the
-  // receiver. The seq_cst pairing with `busy` in DrainReadySocket guarantees
+  // receiver. The seq_cst pairing with `busy` in DispatchRound guarantees
   // the poller either saw the nullptr or we see busy==true and wait.
   while (ep->busy.load(std::memory_order_seq_cst)) {
     std::this_thread::yield();
@@ -642,6 +652,12 @@ void UdpTransport::PollerLoop(Endpoint* ep) {
   DapAudit::BindCurrentThread();
   WarmupMetricsForThisThread();
   WarmupTraceForThisThread();
+  // SCHED_BATCH pollers never preempt the thread that wakes them: a client's
+  // VALIDATE fan-out or a replica's reply flush finishes its sendmmsg before
+  // any receiver it woke runs on its CPU, instead of being cut off after the
+  // first datagram. Best effort; a refusal leaves the default policy.
+  sched_param param{};
+  (void)::pthread_setschedparam(::pthread_self(), SCHED_BATCH, &param);
   // Pooled receive slab, allocated once per poller: recvmmsg scatters into
   // it and DecodeMessage reads straight out of it — no per-datagram buffers.
   std::unique_ptr<uint8_t[]> slab(new uint8_t[kRecvBatch * kRecvBufSize]);
@@ -654,11 +670,10 @@ void UdpTransport::PollerLoop(Endpoint* ep) {
     hdrs[i].msg_hdr.msg_iov = &iovs[i];
     hdrs[i].msg_hdr.msg_iovlen = 1;
   }
-  // Reusable decode staging for DrainReadySocket: batch frames fan out into
-  // it, and its capacity survives across rounds (no steady-state allocation
-  // for the vector itself).
+  // Reusable decode staging for DispatchRound: batch frames fan out into it,
+  // and its capacity survives across rounds (no steady-state allocation for
+  // the vector itself).
   std::vector<Message> inbox;
-  ::pollfd pfd{ep->fd, POLLIN, 0};
   while (!ep->stop.load(std::memory_order_acquire)) {
     if (pollers_paused_.load(std::memory_order_acquire)) {
       // Parked for a send-path bench: sleep instead of draining so receive
@@ -667,13 +682,17 @@ void UdpTransport::PollerLoop(Endpoint* ep) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       continue;
     }
-    pfd.revents = 0;
-    // Finite timeout so a lost wake datagram can never wedge shutdown.
-    int pr = ::poll(&pfd, 1, 100);
-    if (pr <= 0) {
+    // One syscall per wake-up: block (up to SO_RCVTIMEO) for the first
+    // datagram, then take whatever else is already queued. A backlog larger
+    // than one batch is picked up by the next call without sleeping.
+    int n = ::recvmmsg(ep->fd, hdrs, kRecvBatch, MSG_WAITFORONE, nullptr);
+    if (n <= 0) {
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        MetricIncr(kRecvErrors);
+      }
       continue;
     }
-    DrainReadySocket(ep, slab.get(), hdrs, &inbox);
+    DispatchRound(ep, slab.get(), hdrs, n, &inbox);
   }
 }
 
@@ -681,95 +700,82 @@ void UdpTransport::SetPollersPausedForTesting(bool paused) {
   pollers_paused_.store(paused, std::memory_order_release);
 }
 
-ZCP_FAST_PATH void UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
-                                                  ::mmsghdr* hdrs,
-                                                  std::vector<Message>* inbox) {
+ZCP_FAST_PATH void UdpTransport::DispatchRound(Endpoint* ep, const uint8_t* slab,
+                                               const ::mmsghdr* hdrs, int n,
+                                               std::vector<Message>* inbox) {
   const BatchOptions opts = batch_options();
-  // Drain until EAGAIN: one poll wakeup handles the whole backlog, and the
-  // batch-size histogram records how much each recvmmsg amortized.
-  for (;;) {
-    // `busy` brackets both the kernel dequeue and the dispatches so
-    // UnregisterEndpoint/DrainForTesting never observe a datagram that is
-    // neither in the kernel queue nor delivered. seq_cst: Dekker-style
-    // pairing with the receiver swap (see Endpoint::receiver).
-    ep->busy.store(true, std::memory_order_seq_cst);
-    int n = ::recvmmsg(ep->fd, hdrs, kRecvBatch, MSG_DONTWAIT, nullptr);
-    if (n <= 0) {
-      ep->busy.store(false, std::memory_order_seq_cst);
-      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        MetricIncr(kRecvErrors);
-      }
-      return;
+  // `busy` brackets the dispatches, never the blocking receive, so a poller
+  // asleep in the kernel is not busy. seq_cst: Dekker-style pairing with the
+  // receiver swap (see Endpoint::receiver), so UnregisterEndpoint either sees
+  // busy and waits or this round sees the nullptr.
+  ep->busy.store(true, std::memory_order_seq_cst);
+  MetricRecordValue(kRecvBatchSize, static_cast<uint64_t>(n));
+  TransportReceiver* receiver = ep->receiver.load(std::memory_order_seq_cst);
+  inbox->clear();
+  for (int i = 0; i < n; i++) {
+    const uint8_t* data = slab + static_cast<size_t>(i) * kRecvBufSize;
+    size_t len = hdrs[i].msg_len;
+    MetricIncr(kRecvDatagrams);
+    if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+      MetricIncr(kTruncatedDrops);
+      continue;
     }
-    MetricRecordValue(kRecvBatchSize, static_cast<uint64_t>(n));
-    TransportReceiver* receiver = ep->receiver.load(std::memory_order_seq_cst);
-    inbox->clear();
-    for (int i = 0; i < n; i++) {
-      const uint8_t* data = slab + static_cast<size_t>(i) * kRecvBufSize;
-      size_t len = hdrs[i].msg_len;
-      MetricIncr(kRecvDatagrams);
-      if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
-        MetricIncr(kTruncatedDrops);
-        continue;
-      }
-      if (len < kSteerBytes) {
-        MetricIncr(kMalformedDrops);
-        continue;
-      }
-      if (ReadSteerWord(data) != ep->steer) {
-        // Either a mis-programmed sender or kernel steering broke; in both
-        // cases delivering would violate DAP, so drop and count.
-        MetricIncr(kMissteeredDrops);
-        continue;
-      }
-      if (len == kSteerBytes) {
-        continue;  // Steer-only wake datagram (Stop).
-      }
-      if (receiver == nullptr) {
-        // Checked before decoding: a detached endpoint's datagrams are
-        // counted and discarded without paying deserialization for a message
-        // nobody will consume.
-        MetricIncr(kNoReceiverDrops);
-        continue;
-      }
-      const uint8_t* frame = data + kSteerBytes;
-      const size_t frame_len = len - kSteerBytes;
-      if (IsBatchFrame(frame, frame_len)) {
-        // Coalesced datagram: fan the sub-messages back out. DecodeBatch is
-        // all-or-nothing, so a corrupt frame drops whole (UDP loses whole
-        // datagrams; sub-message granularity would invent partial loss the
-        // wire cannot produce).
-        if (!DecodeBatch(frame, frame_len, inbox)) {
-          MetricIncr(kDecodeFailures);
-        }
-        continue;
-      }
-      Message msg;
-      if (!DecodeMessage(frame, frame_len, &msg)) {
+    if (len < kSteerBytes) {
+      MetricIncr(kMalformedDrops);
+      continue;
+    }
+    if (ReadSteerWord(data) != ep->steer) {
+      // Either a mis-programmed sender or kernel steering broke; in both
+      // cases delivering would violate DAP, so drop and count.
+      MetricIncr(kMissteeredDrops);
+      continue;
+    }
+    if (len == kSteerBytes) {
+      continue;  // Steer-only wake datagram (Stop).
+    }
+    if (receiver == nullptr) {
+      // Checked before decoding: a detached endpoint's datagrams are
+      // counted and discarded without paying deserialization for a message
+      // nobody will consume.
+      MetricIncr(kNoReceiverDrops);
+      continue;
+    }
+    const uint8_t* frame = data + kSteerBytes;
+    const size_t frame_len = len - kSteerBytes;
+    if (IsBatchFrame(frame, frame_len)) {
+      // Coalesced datagram: fan the sub-messages back out. DecodeBatch is
+      // all-or-nothing, so a corrupt frame drops whole (UDP loses whole
+      // datagrams; sub-message granularity would invent partial loss the
+      // wire cannot produce).
+      if (!DecodeBatch(frame, frame_len, inbox)) {
         MetricIncr(kDecodeFailures);
-        continue;
       }
-      inbox->push_back(std::move(msg));
+      continue;
     }
-    // Dispatch the round's logical messages: one ReceiveBatch per governor
-    // chunk with batching on, the exact legacy per-message path with it off.
-    // Still inside the busy bracket, so unregister cannot race the receiver.
-    if (!inbox->empty()) {
-      if (opts.enabled) {
-        const size_t chunk_max = opts.max_messages > 0 ? opts.max_messages : inbox->size();
-        for (size_t off = 0; off < inbox->size(); off += chunk_max) {
-          const size_t chunk = std::min(chunk_max, inbox->size() - off);
-          receiver->ReceiveBatch(inbox->data() + off, chunk);
-        }
-      } else {
-        for (Message& msg : *inbox) {
-          receiver->Receive(std::move(msg));
-        }
-      }
-      inbox->clear();
+    Message msg;
+    if (!DecodeMessage(frame, frame_len, &msg)) {
+      MetricIncr(kDecodeFailures);
+      continue;
     }
-    ep->busy.store(false, std::memory_order_seq_cst);
+    inbox->push_back(std::move(msg));
   }
+  // Dispatch the round's logical messages: one ReceiveBatch per governor
+  // chunk with batching on, the exact legacy per-message path with it off.
+  if (!inbox->empty()) {
+    if (opts.enabled) {
+      const size_t chunk_max = opts.max_messages > 0 ? opts.max_messages : inbox->size();
+      for (size_t off = 0; off < inbox->size(); off += chunk_max) {
+        const size_t chunk = std::min(chunk_max, inbox->size() - off);
+        receiver->ReceiveBatch(inbox->data() + off, chunk);
+      }
+    } else {
+      for (Message& msg : *inbox) {
+        receiver->Receive(std::move(msg));
+      }
+    }
+    inbox->clear();
+  }
+  ep->busy.store(false, std::memory_order_seq_cst);
 }
 
 // --- Shutdown / test support ----------------------------------------------
@@ -799,7 +805,7 @@ void UdpTransport::Stop() {
   for (Endpoint* ep : eps) {
     ep->stop.store(true, std::memory_order_release);
   }
-  // Steer-only wake datagrams cut the up-to-100ms poll timeout short; each
+  // Steer-only wake datagrams cut the up-to-100ms receive timeout short; each
   // carries the endpoint's own steering word so reuseport groups route it to
   // the right member.
   int wfd = ::socket(AF_INET, SOCK_DGRAM, 0);
@@ -832,8 +838,11 @@ void UdpTransport::Stop() {
 
 void UdpTransport::DrainForTesting() {
   // Quiesced = kernel receive queues empty, no dispatch in flight, timer
-  // heap empty — observed on a few consecutive sweeps, since a message seen
-  // mid-flight can enqueue work for another endpoint.
+  // heap empty — observed on kIdleSweeps consecutive sweeps, since a message
+  // seen mid-flight can enqueue work for another endpoint, and a poller that
+  // has just dequeued a batch has not raised `busy` yet.
+  constexpr int kIdleSweeps = 3;
+  int idle_sweeps = 0;
   for (int round = 0; round < 500; round++) {
     bool all_idle = true;
     {
@@ -857,7 +866,8 @@ void UdpTransport::DrainForTesting() {
         all_idle = false;
       }
     }
-    if (all_idle && round >= 3) {
+    idle_sweeps = all_idle ? idle_sweeps + 1 : 0;
+    if (idle_sweeps == kIdleSweeps) {
       return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

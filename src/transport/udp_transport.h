@@ -24,7 +24,9 @@
 // The data path is allocation-free and syscall-batched at steady state:
 // senders encode into per-thread reusable buffers (WireWriter::Reset /
 // EncodeMessageInto) and flush a whole fan-out with one sendmmsg; pollers
-// recvmmsg into a pooled receive slab and decode straight out of it.
+// block in one recvmmsg per wake-up, into a pooled receive slab, and decode
+// straight out of it. Pollers run SCHED_BATCH, so a receiver a send wakes
+// never preempts the sender mid-fan-out.
 // Per-core MetricsRegistry counters track batch sizes, EAGAIN stalls, and
 // every class of datagram drop.
 //
@@ -89,8 +91,9 @@ class UdpTransport : public Transport {
   void Stop();
 
   // Best-effort quiesce: returns once kernel receive queues, the timer heap,
-  // and in-flight dispatches have been observed empty for a few consecutive
-  // sweeps. Used by tests before asserting on asynchronously applied state.
+  // and in-flight dispatches have been observed empty on three consecutive
+  // sweeps (2 ms apart). Used by tests before asserting on asynchronously
+  // applied state.
   void DrainForTesting();
 
   // True when replica endpoints share SO_REUSEPORT groups steered by cBPF;
@@ -134,8 +137,8 @@ class UdpTransport : public Transport {
     // nullptr before loading busy — the total order guarantees unregister
     // either sees busy and waits, or the poller sees the nullptr).
     std::atomic<TransportReceiver*> receiver{nullptr};
-    // True from just before recvmmsg until the resulting batch is fully
-    // dispatched.
+    // True from just after recvmmsg returns until the resulting batch is
+    // fully dispatched; false while the poller blocks in the kernel.
     std::atomic<bool> busy{false};
     std::atomic<bool> stop{false};
     std::thread poller;
@@ -151,11 +154,12 @@ class UdpTransport : public Transport {
   void DeliverDelayed(Message msg, uint64_t delay_ns) EXCLUDES(timer_mu_);
   void TimerLoop() EXCLUDES(timer_mu_);
   void PollerLoop(Endpoint* ep);
+  // Decodes and dispatches the `n` datagrams one recvmmsg left in `slab`.
   // `inbox` is the poller's reusable decode staging: every logical message of
-  // one recvmmsg round (batch frames fanned back out) lands there and is
-  // dispatched with one ReceiveBatch per governor chunk.
-  void DrainReadySocket(Endpoint* ep, uint8_t* slab, ::mmsghdr* hdrs,
-                        std::vector<Message>* inbox);
+  // the round (batch frames fanned back out) lands there and is dispatched
+  // with one ReceiveBatch per governor chunk.
+  void DispatchRound(Endpoint* ep, const uint8_t* slab, const ::mmsghdr* hdrs, int n,
+                     std::vector<Message>* inbox);
   Endpoint* RegisterEndpoint(const Address& addr, CoreId core, TransportReceiver* receiver)
       EXCLUDES(endpoints_mu_);
   void UnregisterEndpoint(const Address& addr, CoreId core) EXCLUDES(endpoints_mu_);

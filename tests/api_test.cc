@@ -46,6 +46,9 @@ TEST_P(BlockingClientTest, GetPutRoundTrip) {
   EXPECT_TRUE(put.committed());
   EXPECT_NE(put.path, CommitPath::kNone);
   EXPECT_EQ(put.reason, AbortReason::kNone);
+  // The COMMIT is asynchronous: let every replica apply it before the Get,
+  // which reads from a random replica.
+  h.transport().DrainForTesting();
   EXPECT_EQ(client.Get("k").value_or(""), "v1");
 }
 
@@ -63,6 +66,7 @@ TEST_P(BlockingClientTest, TransformRmw) {
   TxnOutcome outcome = client.ExecuteWithRetry(increment);
   EXPECT_EQ(outcome.result, TxnResult::kCommit);
   EXPECT_GE(outcome.attempts, 1u);
+  h.transport().DrainForTesting();  // Let the asynchronous COMMIT land first.
   EXPECT_EQ(client.Get("counter").value_or(""), "15");
 }
 
@@ -92,6 +96,7 @@ TEST_P(BlockingClientTest, ConcurrentClientsMakeProgress) {
     t.join();
   }
   EXPECT_EQ(commits.load(), 60);
+  h.transport().DrainForTesting();  // Let the last asynchronous COMMIT land first.
   BlockingClient reader(h.system(), 9);
   // Every increment is serialized: the final value equals the commit count.
   EXPECT_EQ(reader.Get("shared").value_or(""), "60");

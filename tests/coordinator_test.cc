@@ -68,6 +68,26 @@ Message AcceptReplyMsg(ReplicaId from, bool ok, ViewNum view = 0) {
   return msg;
 }
 
+// The coordinator never sends its decision; the owner builds it with
+// AppendDecision. Checks the coordinator held it back and that the built
+// fan-out is one CommitRequest{commit} per replica, on the coordinator's core.
+void ExpectDecisionLeftToOwner(const CapturingTransport& transport,
+                             const CommitCoordinator& coordinator, bool commit) {
+  EXPECT_EQ(transport.Count<CommitRequest>(), 0u) << "the coordinator sent its own decision";
+  std::vector<Message> decision;
+  coordinator.AppendDecision(commit, &decision);
+  ASSERT_EQ(decision.size(), 3u);
+  for (ReplicaId r = 0; r < 3; r++) {
+    EXPECT_EQ(decision[r].dst, Address::Replica(r));
+    EXPECT_EQ(decision[r].core, 0u);
+    const auto* req = std::get_if<CommitRequest>(&decision[r].payload);
+    ASSERT_NE(req, nullptr);
+    EXPECT_EQ(req->tid, kTid);
+    EXPECT_EQ(req->commit, commit);
+    EXPECT_EQ(req->ts, kTs);
+  }
+}
+
 struct CoordinatorUnderTest {
   CapturingTransport transport;
   std::optional<CommitOutcome> outcome;
@@ -138,8 +158,7 @@ TEST(CommitCoordinatorTest, FastPathCommitOnSupermajority) {
   EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
   EXPECT_TRUE(t.outcome->fast_path());
   EXPECT_EQ(t.outcome->reason, AbortReason::kNone);
-  EXPECT_EQ(t.transport.Count<CommitRequest>(), 3u);
-  EXPECT_TRUE(t.transport.Last<CommitRequest>()->commit);
+  ExpectDecisionLeftToOwner(t.transport, *t.coordinator, /*commit=*/true);
   EXPECT_EQ(t.transport.Count<AcceptRequest>(), 0u);  // No slow path.
 }
 
@@ -152,7 +171,7 @@ TEST(CommitCoordinatorTest, FastPathAbortOnSupermajorityAbort) {
   EXPECT_EQ(t.outcome->result, TxnResult::kAbort);
   EXPECT_TRUE(t.outcome->fast_path());
   EXPECT_EQ(t.outcome->reason, AbortReason::kOccConflict);
-  EXPECT_FALSE(t.transport.Last<CommitRequest>()->commit);
+  ExpectDecisionLeftToOwner(t.transport, *t.coordinator, /*commit=*/false);
 }
 
 TEST(CommitCoordinatorTest, MixedVotesTakeSlowPathAndCommit) {
@@ -174,7 +193,7 @@ TEST(CommitCoordinatorTest, MixedVotesTakeSlowPathAndCommit) {
   EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
   EXPECT_FALSE(t.outcome->fast_path());
   EXPECT_EQ(t.outcome->path, CommitPath::kSlow);
-  EXPECT_EQ(t.transport.Count<CommitRequest>(), 3u);
+  ExpectDecisionLeftToOwner(t.transport, *t.coordinator, /*commit=*/true);
 }
 
 TEST(CommitCoordinatorTest, EarlySplitDecidesAtMajorityWithAbort) {
@@ -302,20 +321,19 @@ TEST(CommitCoordinatorTest, ForcedSlowPathSkipsFastQuorum) {
 }
 
 TEST(CommitCoordinatorTest, DeferredModeWithholdsDecisionBroadcast) {
+  // A multi-shard owner sends the conjunction of its shards' decisions, which
+  // may differ from what this shard decided.
   CapturingTransport transport;
   CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, 0, kTid, kTs, {},
                                 {{{"k"}, {"v"}}}, RetryPolicy::Disabled(), 100, nullptr);
-  coordinator.set_defer_decision(true);
   coordinator.Start();
   for (ReplicaId r = 0; r < 3; r++) {
     coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk));
   }
   ASSERT_TRUE(coordinator.done());
   EXPECT_EQ(coordinator.outcome().result, TxnResult::kCommit);
-  EXPECT_EQ(transport.Count<CommitRequest>(), 0u);  // Withheld.
-  coordinator.BroadcastFinal(false);  // Parent says another shard aborted.
-  EXPECT_EQ(transport.Count<CommitRequest>(), 3u);
-  EXPECT_FALSE(transport.Last<CommitRequest>()->commit);
+  // Parent says another shard aborted.
+  ExpectDecisionLeftToOwner(transport, coordinator, /*commit=*/false);
 }
 
 TEST(BackupCoordinatorTest, RebidsAboveCompetingView) {

@@ -398,6 +398,7 @@ TEST(BlockingClientOverloadTest, CommitsFlowThroughEnabledAdmissionWindow) {
   for (int i = 0; i < 8; i++) {
     ASSERT_EQ(client.ExecuteWithRetry(increment).result, TxnResult::kCommit);
   }
+  h.transport().DrainForTesting();  // Let the last asynchronous COMMIT land first.
   EXPECT_EQ(client.Get("count").value_or(""), "8");
   // Every slot was released and the commit streak grew the window.
   AimdWindow& window = h.system().admission_window();

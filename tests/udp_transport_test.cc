@@ -376,6 +376,63 @@ TEST_P(UdpModeTest, ZeroAllocationsPerMessageAtSteadyState) {
   }
 }
 
+// --- Blocking receive: pollers sleep in recvmmsg, never busy there --------
+
+// Lets every poller reach its blocking recvmmsg.
+void LetPollersBlock() { std::this_thread::sleep_for(std::chrono::milliseconds(20)); }
+
+template <typename Fn>
+std::chrono::milliseconds TimeIt(Fn fn) {
+  auto start = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+}
+
+TEST_P(UdpModeTest, IdleUnregisterReturnsWellWithinReceiveTimeout) {
+  // A poller blocked in the kernel is not busy, so unregistering waits for
+  // nothing (the receive timeout is 100 ms).
+  UdpTransport t(Opts());
+  RecordingReceiver r;
+  t.RegisterClient(1, &r);
+  t.RegisterReplica(0, 0, &r);
+  t.RegisterReplica(0, 1, &r);
+  LetPollersBlock();
+  EXPECT_LT(TimeIt([&] { t.UnregisterClient(1); }).count(), 50);
+  EXPECT_LT(TimeIt([&] { t.UnregisterReplica(0, 1); }).count(), 50);
+  EXPECT_LT(TimeIt([&] { t.UnregisterReplica(0, 0); }).count(), 50);
+}
+
+TEST_P(UdpModeTest, StopOnIdleTransportReturnsPromptly) {
+  // The Stop wake datagrams cut every blocked receive short.
+  UdpTransport t(Opts());
+  RecordingReceiver r;
+  t.RegisterClient(1, &r);
+  for (CoreId c = 0; c < 4; c++) {
+    t.RegisterReplica(0, c, &r);
+  }
+  LetPollersBlock();
+  EXPECT_LT(TimeIt([&] { t.Stop(); }).count(), 50);
+}
+
+TEST_P(UdpModeTest, PausedPollersStopDraining) {
+  UdpTransport t(Opts());
+  RecordingReceiver r;
+  t.RegisterClient(1, &r);
+  LetPollersBlock();
+  t.SetPollersPausedForTesting(true);
+  // One datagram per Send. The poller blocked when the pause began takes at
+  // most one recvmmsg batch before it parks.
+  constexpr uint64_t kMessages = 64;
+  for (uint64_t i = 0; i < kMessages; i++) {
+    t.Send(MakeGet(2, Address::Client(1), 0, i, "k"));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_LE(r.count.load(), UdpTransport::kRecvBatch);
+  t.SetPollersPausedForTesting(false);
+  EXPECT_TRUE(r.WaitForCount(kMessages));
+}
+
 INSTANTIATE_TEST_SUITE_P(SteeringModes, UdpModeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "DistinctPorts" : "ReuseportGroups";

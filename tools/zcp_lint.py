@@ -150,7 +150,7 @@ EXPECTED_FAST_PATH_FILES = {
     # MsgBatch codec (EncodeBatchInto / DecodeBatch): the coalesced-frame
     # wire format of the batched delivery pipeline.
     "src/transport/serialization.cc": 2,
-    # Encode/send (WireSend) + recv/decode/dispatch (DrainReadySocket): the
+    # Encode/send (WireSend) + recv/decode/dispatch (DispatchRound): the
     # allocation-free wire path of the UDP transport.
     "src/transport/udp_transport.cc": 2,
 }
