@@ -1,7 +1,9 @@
 #include "src/store/vstore.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <new>
 
 #include "src/common/annotations.h"
 #include "src/common/metrics.h"
@@ -29,9 +31,70 @@ void ChargeSimKeyOps(uint64_t n) {
 // worst case latency-bounded.
 constexpr int kSeqlockAttempts = 4;
 
+// Mirror words holding a value of `len` (<= kInlineValueBytes) bytes.
+constexpr size_t WordsFor(size_t len) { return (len + sizeof(uint64_t) - 1) / sizeof(uint64_t); }
+
 const MetricId kStructuralInserts = MetricsRegistry::Counter("vstore.structural_inserts");
 
 }  // namespace
+
+PendingList::~PendingList() {
+  if (spilled()) {
+    delete[] heap_;
+  }
+}
+
+PendingList& PendingList::operator=(std::initializer_list<Timestamp> list) {
+  clear();
+  for (const Timestamp& ts : list) {
+    push_back(ts);
+  }
+  return *this;
+}
+
+void PendingList::push_back(const Timestamp& ts) {
+  if (size_ == capacity_) {
+    uint32_t grown_capacity = spilled() ? capacity_ * 2 : 4;
+    // zcp-analyzer: allow(ZCPA002) spill past the inline slot: only a key
+    // with two or more concurrently pending transactions allocates, and the
+    // array is reused from then on (the vector growth this list replaces).
+    Timestamp* grown = new Timestamp[grown_capacity];
+    std::copy(begin(), end(), grown);
+    if (spilled()) {
+      delete[] heap_;
+    }
+    heap_ = grown;
+    capacity_ = grown_capacity;
+  }
+  data()[size_++] = ts;
+}
+
+void PendingList::Remove(const Timestamp& ts) {
+  Timestamp* first = data();
+  Timestamp* last = first + size_;
+  Timestamp* it = std::find(first, last, ts);
+  if (it != last) {
+    *it = last[-1];
+    size_--;
+  }
+}
+
+KeyEntry::Ptr KeyEntry::Create(std::string_view key, uint64_t hash) {
+  // zcp-analyzer: allow(ZCPA002) first-touch key creation (FindOrCreate's
+  // miss path, under the shard structural lock); every later access takes
+  // the lock-free probe.
+  void* block = ::operator new(sizeof(KeyEntry) + key.size());
+  Ptr entry(new (block) KeyEntry());
+  std::memcpy(static_cast<char*>(block) + sizeof(KeyEntry), key.data(), key.size());
+  entry->key_len_ = static_cast<uint32_t>(key.size());
+  entry->hash = hash;
+  return entry;
+}
+
+void KeyEntry::Deleter::operator()(KeyEntry* entry) const {
+  entry->~KeyEntry();
+  ::operator delete(entry);
+}
 
 Timestamp KeyEntry::MinWriter() const {
   Timestamp min = kInvalidTimestamp;
@@ -53,33 +116,18 @@ Timestamp KeyEntry::MaxReader() const {
   return max;
 }
 
-void KeyEntry::RemoveReader(const Timestamp& ts) {
-  auto it = std::find(readers.begin(), readers.end(), ts);
-  if (it != readers.end()) {
-    *it = readers.back();
-    readers.pop_back();
-  }
-}
-
-void KeyEntry::RemoveWriter(const Timestamp& ts) {
-  auto it = std::find(writers.begin(), writers.end(), ts);
-  if (it != writers.end()) {
-    *it = writers.back();
-    writers.pop_back();
-  }
-}
-
 ZCP_FAST_PATH void KeyEntry::InstallCommitted(const std::string& new_value, Timestamp new_wts) {
+  bool fits = new_value.size() <= kInlineValueBytes;
   // Seqlock write protocol (Boehm, "Can seqlocks get along with programming
   // language memory models?"): odd seq -> release fence -> relaxed data
   // stores -> even seq with release. Writers are serialized by `lock`.
   uint32_t seq = pub_seq.load(std::memory_order_relaxed);
   pub_seq.store(seq + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  if (new_value.size() <= kInlineValueBytes) {
+  if (fits) {
     uint64_t words[kInlineValueWords] = {};
     std::memcpy(words, new_value.data(), new_value.size());
-    for (size_t i = 0; i < kInlineValueWords; i++) {
+    for (size_t i = 0; i < WordsFor(new_value.size()); i++) {
       pub_words[i].store(words[i], std::memory_order_relaxed);
     }
     pub_len.store(static_cast<uint32_t>(new_value.size()), std::memory_order_relaxed);
@@ -90,8 +138,35 @@ ZCP_FAST_PATH void KeyEntry::InstallCommitted(const std::string& new_value, Time
   pub_wts_client.store(new_wts.client_id, std::memory_order_relaxed);
   pub_seq.store(seq + 2, std::memory_order_release);
 
-  value = new_value;
+  // The overflow buffer is only read under `lock`, which the caller holds,
+  // so it needs no seqlock window of its own.
+  uint32_t new_len = static_cast<uint32_t>(new_value.size());
+  if (fits) {
+    overflow_.reset();
+    overflow_len_ = 0;
+  } else {
+    if (!overflow_ || std::bit_ceil(new_len) != std::bit_ceil(overflow_len_)) {
+      // Values over kInlineValueBytes only; the power-of-two buffer is reused
+      // until the value's size class changes.
+      overflow_.reset(new char[std::bit_ceil(new_len)]);  // zcp-lint: allow(ZCP002)
+    }
+    std::memcpy(overflow_.get(), new_value.data(), new_len);
+    overflow_len_ = new_len;
+  }
   wts = new_wts;
+}
+
+std::string KeyEntry::Value() const {
+  if (overflow_) {
+    return std::string(overflow_.get(), overflow_len_);
+  }
+  // The mirror is the master copy; holding `lock` excludes its only writer.
+  uint32_t len = pub_len.load(std::memory_order_relaxed);
+  uint64_t words[kInlineValueWords];
+  for (size_t i = 0; i < WordsFor(len); i++) {
+    words[i] = pub_words[i].load(std::memory_order_relaxed);
+  }
+  return std::string(reinterpret_cast<const char*>(words), len);
 }
 
 ZCP_FAST_PATH bool KeyEntry::TryReadFast(bool* found, std::string* value_out, Timestamp* wts_out) const {
@@ -106,7 +181,7 @@ ZCP_FAST_PATH bool KeyEntry::TryReadFast(bool* found, std::string* value_out, Ti
       return false;  // Value too large for the mirror; caller locks.
     }
     uint64_t words[kInlineValueWords];
-    for (size_t i = 0; i < kInlineValueWords; i++) {
+    for (size_t i = 0; i < WordsFor(len); i++) {
       words[i] = pub_words[i].load(std::memory_order_relaxed);
     }
     Timestamp ts{pub_wts_time.load(std::memory_order_relaxed),
@@ -193,7 +268,7 @@ ZCP_FAST_PATH KeyEntry* VStore::Probe(const Table* table, const std::string& key
     if (e == nullptr) {
       return nullptr;  // Null terminates the probe chain: key absent.
     }
-    if (e->hash == hash && e->key == key) {
+    if (e->hash == hash && e->key() == key) {
       return e;
     }
     i = (i + 1) & table->mask;
@@ -225,17 +300,15 @@ KeyEntry* VStore::FindOrCreateWithHash(const std::string& key, uint64_t hash) {
   if (KeyEntry* e = Probe(shard.table.load(std::memory_order_acquire), key, hash)) {
     return e;
   }
-  // zcp-analyzer: allow(ZCPA002) first-touch key creation under the shard
-  // structural lock; every later access takes the per-key lock-free probe.
-  auto entry = std::make_unique<KeyEntry>();
-  entry->key = key;
-  entry->hash = hash;
+  // First touch of the key: the one allocation its entry ever makes unless
+  // it later holds an overflow value or several pending transactions.
+  KeyEntry::Ptr entry = KeyEntry::Create(key, hash);
   KeyEntry* raw = entry.get();
   InsertLocked(shard, std::move(entry));
   return raw;
 }
 
-void VStore::InsertLocked(Shard& shard, std::unique_ptr<KeyEntry> entry) {
+void VStore::InsertLocked(Shard& shard, KeyEntry::Ptr entry) {
   Table* table = shard.table.load(std::memory_order_relaxed);
   // Resize before load factor reaches 3/4 so probe chains stay short and
   // always terminate at a null slot.
@@ -288,7 +361,7 @@ ZCP_FAST_PATH ReadResult VStore::Read(const std::string& key) {
     return result;  // Entry exists (pending writers) but was never committed.
   }
   result.found = true;
-  result.value = entry->value;
+  result.value = entry->Value();
   result.wts = entry->wts;
   return result;
 }
@@ -358,7 +431,7 @@ size_t VStore::PendingCountForTesting() {
   size_t n = 0;
   for (Shard& shard : shards_) {
     LockGuard<KeyLock> slock(shard.structural_lock);
-    for (const std::unique_ptr<KeyEntry>& entry : shard.entries) {
+    for (const KeyEntry::Ptr& entry : shard.entries) {
       LockGuard<KeyLock> lock(entry->lock);
       n += entry->readers.size() + entry->writers.size();
     }
@@ -373,7 +446,7 @@ void VStore::ForEachCommitted(
     for (auto& entry : shard.entries) {
       LockGuard<KeyLock> lock(entry->lock);
       if (entry->wts.Valid()) {
-        fn(entry->key, entry->value, entry->wts);
+        fn(std::string(entry->key()), entry->Value(), entry->wts);
       }
     }
   }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/store/occ.h"
@@ -81,7 +83,9 @@ TEST(StoreStressTest, ConcurrentInsertsKeepPointersStable) {
         first_seen[static_cast<size_t>(t) * 1000 + static_cast<size_t>(i)] = e;
         KeyEntry* shared = store.FindOrCreate("shared-" + std::to_string(i % 50));
         std::lock_guard<KeyLock> lock(shared->lock);
-        shared->value = own;  // Any last writer wins; must not corrupt.
+        // Any last writer wins; must not corrupt.
+        shared->InstallCommitted(own, Timestamp{static_cast<uint64_t>(i) + 1,
+                                                static_cast<uint32_t>(t + 1)});
       }
     });
   }
@@ -147,22 +151,17 @@ TEST(StoreStressTest, LockFreeReadsDuringInsertStorm) {
   EXPECT_EQ(store.SizeForTesting(), static_cast<size_t>(kStableKeys) + 2 * 4000);
 }
 
-TEST(StoreStressTest, SeqlockReadsNeverObserveTornValues) {
-  // Writers install values that deterministically encode the version they
-  // belong to; readers assert the (value, wts) pair they get back is always
-  // internally consistent. A torn seqlock read would pair a value with the
-  // wrong version (or mix bytes of two values).
+// Writers install values that deterministically encode the version they
+// belong to; readers assert the (value, wts) pair they get back is always
+// internally consistent. A torn seqlock read would pair a value with the
+// wrong version (or mix bytes of two values).
+template <typename ValueFor>
+void RunTornReadStorm(ValueFor value_for) {
   VStore store;
-  auto value_for = [](const Timestamp& ts) {
-    // 40 bytes: rides the inline seqlock mirror (kInlineValueBytes = 48).
-    std::string v = std::to_string(ts.time) + ":" + std::to_string(ts.client_id) + "|";
-    v.resize(40, 'a' + static_cast<char>(ts.time % 26));
-    return v;
-  };
   store.LoadKey("hot", value_for(Timestamp{1, 1}), Timestamp{1, 1});
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> fast_checked{0};
+  std::atomic<uint64_t> checked{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; t++) {
     readers.emplace_back([&] {
@@ -170,7 +169,7 @@ TEST(StoreStressTest, SeqlockReadsNeverObserveTornValues) {
         ReadResult read = store.Read("hot");
         ASSERT_TRUE(read.found);
         ASSERT_EQ(read.value, value_for(read.wts)) << "torn read: value/version mismatch";
-        fast_checked.fetch_add(1, std::memory_order_relaxed);
+        checked.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -195,12 +194,39 @@ TEST(StoreStressTest, SeqlockReadsNeverObserveTornValues) {
   for (auto& t : readers) {
     t.join();
   }
-  EXPECT_GT(fast_checked.load(), 0u);
+  EXPECT_GT(checked.load(), 0u);
   // Final state is the largest installed version, via both read paths.
   ReadResult final_read = store.Read("hot");
   EXPECT_EQ(final_read.wts, (Timestamp{19999, 2}));
   EXPECT_EQ(final_read.value, value_for(final_read.wts));
   EXPECT_EQ(store.ReadVersion("hot").wts, (Timestamp{19999, 2}));
+}
+
+// A value of `size` bytes that names its version and is padded with a
+// version-dependent letter.
+std::string VersionedValue(const Timestamp& ts, size_t size) {
+  std::string v = std::to_string(ts.time) + ":" + std::to_string(ts.client_id) + "|";
+  v.resize(size, static_cast<char>('a' + ts.time % 26));
+  return v;
+}
+
+TEST(StoreStressTest, SeqlockReadsNeverObserveTornValues) {
+  // 40 bytes: five of the mirror's eight words.
+  RunTornReadStorm([](const Timestamp& ts) { return VersionedValue(ts, 40); });
+}
+
+TEST(StoreStressTest, SeqlockReadsOfFullMirrorNeverTear) {
+  // 64 bytes (kInlineValueBytes), the paper's item size: every mirror word
+  // carries payload.
+  static_assert(KeyEntry::kInlineValueBytes == 64);
+  RunTornReadStorm([](const Timestamp& ts) { return VersionedValue(ts, 64); });
+}
+
+TEST(StoreStressTest, ReadsNeverTearAcrossTheMirrorBoundary) {
+  // Sizes 60..71 alternate between the lock-free mirror and the locked
+  // overflow buffer from one version to the next, so readers race both the
+  // seqlock publish and the switch between the two homes of the value.
+  RunTornReadStorm([](const Timestamp& ts) { return VersionedValue(ts, 60 + ts.time % 12); });
 }
 
 TEST(StoreStressTest, OverflowValuesFallBackToLockedRead) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "src/common/metrics.h"
+#include "src/common/stats.h"
 #include "src/store/occ.h"
 #include "src/store/trecord.h"
 #include "src/store/vstore.h"
@@ -96,6 +99,128 @@ TEST(KeyEntryTest, MinWriterMaxReader) {
   EXPECT_EQ(e.readers.size(), 2u);
 }
 
+TEST(KeyEntryTest, PendingListsSpillAndDrain) {
+  // Three pending readers and writers outgrow the one inline slot; removing
+  // them again must keep MinWriter/MaxReader exact at every size.
+  KeyEntry e;
+  const Timestamp writers[] = {Ts(6), Ts(2), Ts(4)};
+  const Timestamp readers[] = {Ts(3), Ts(9), Ts(5)};
+  const Timestamp min_after_add[] = {Ts(6), Ts(2), Ts(2)};
+  const Timestamp max_after_add[] = {Ts(3), Ts(9), Ts(9)};
+  for (size_t i = 0; i < 3; i++) {
+    e.writers.push_back(writers[i]);
+    e.readers.push_back(readers[i]);
+    EXPECT_EQ(e.writers.size(), i + 1);
+    EXPECT_EQ(e.readers.size(), i + 1);
+    EXPECT_EQ(e.MinWriter(), min_after_add[i]);
+    EXPECT_EQ(e.MaxReader(), max_after_add[i]);
+  }
+  e.RemoveWriter(Ts(2));
+  e.RemoveReader(Ts(9));
+  EXPECT_EQ(e.MinWriter(), Ts(4));
+  EXPECT_EQ(e.MaxReader(), Ts(5));
+  e.RemoveWriter(Ts(6));
+  e.RemoveReader(Ts(3));
+  EXPECT_EQ(e.MinWriter(), Ts(4));
+  EXPECT_EQ(e.MaxReader(), Ts(5));
+  ASSERT_EQ(e.writers.size(), 1u);
+  ASSERT_EQ(e.readers.size(), 1u);
+  e.RemoveWriter(Ts(4));
+  e.RemoveReader(Ts(5));
+  EXPECT_TRUE(e.writers.empty());
+  EXPECT_TRUE(e.readers.empty());
+  EXPECT_FALSE(e.MinWriter().Valid());
+  EXPECT_FALSE(e.MaxReader().Valid());
+  // The drained lists fill again from their kept spill arrays.
+  e.writers.push_back(Ts(8));
+  e.writers.push_back(Ts(7));
+  EXPECT_EQ(e.MinWriter(), Ts(7));
+}
+
+// Guards the entry's footprint: header bytes are paid once per stored key,
+// and DESIGN.md §8's byte table accounts for every one of them. A field that
+// grows the header must update that table and this number together.
+TEST(KeyEntryTest, HeaderSizeIsPinned) { EXPECT_EQ(sizeof(KeyEntry), 192u); }
+
+TEST(VStoreTest, SixtyFourByteValueReadsLockFree) {
+  VStore store;
+  const std::string value(KeyEntry::kInlineValueBytes, 'x');
+  store.LoadKey("k", value, Ts(5));
+  FastPathCounters before = LocalFastPathCounters();
+  ReadResult r = store.Read("k");
+  FastPathCounters after = LocalFastPathCounters();
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.value, value);
+  EXPECT_EQ(r.wts, Ts(5));
+  EXPECT_EQ(after.vstore_fast_reads, before.vstore_fast_reads + 1);
+  EXPECT_EQ(after.vstore_locked_reads, before.vstore_locked_reads);
+}
+
+TEST(VStoreTest, OverflowValuesRoundTrip) {
+  // Past 64 bytes the value moves out of the mirror into the locked overflow
+  // buffer, and back into the mirror when it shrinks again.
+  VStore store;
+  KeyEntry* e = store.FindOrCreate("k");
+  auto install_and_read = [&](const std::string& value, uint64_t t, bool expect_locked) {
+    {
+      LockGuard<KeyLock> lock(e->lock);
+      e->InstallCommitted(value, Ts(t));
+      EXPECT_EQ(e->Value(), value);
+    }
+    FastPathCounters before = LocalFastPathCounters();
+    ReadResult r = store.Read("k");
+    FastPathCounters after = LocalFastPathCounters();
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.value, value) << "size " << value.size();
+    EXPECT_EQ(r.wts, Ts(t));
+    EXPECT_EQ(after.vstore_locked_reads - before.vstore_locked_reads, expect_locked ? 1u : 0u)
+        << "size " << value.size();
+  };
+  install_and_read(std::string(65, 'a'), 1, /*expect_locked=*/true);
+  install_and_read(std::string(4096, 'b'), 2, /*expect_locked=*/true);
+  install_and_read(std::string(4000, 'c'), 3, /*expect_locked=*/true);  // Same buffer.
+  install_and_read(std::string(64, 'd'), 4, /*expect_locked=*/false);   // Shrink.
+  install_and_read("", 5, /*expect_locked=*/false);
+  install_and_read(std::string(200, 'e'), 6, /*expect_locked=*/true);   // Regrow.
+  std::string patterned(4096, '\0');
+  for (size_t i = 0; i < patterned.size(); i++) {
+    patterned[i] = static_cast<char>(i * 31);
+  }
+  install_and_read(patterned, 7, /*expect_locked=*/true);
+  int visited = 0;
+  store.ForEachCommitted([&](const std::string&, const std::string& value, Timestamp wts) {
+    EXPECT_EQ(value, patterned);
+    EXPECT_EQ(wts, Ts(7));
+    visited++;
+  });
+  EXPECT_EQ(visited, 1);
+}
+
+TEST(VStoreTest, KeysOfAnyLengthRoundTrip) {
+  VStore store;
+  const std::vector<std::string> keys = {"", "a", std::string(64, 'k'), std::string(1000, 'z')};
+  std::vector<KeyEntry*> entries;
+  for (size_t i = 0; i < keys.size(); i++) {
+    KeyEntry* e = store.FindOrCreate(keys[i]);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->key(), keys[i]);
+    entries.push_back(e);
+    store.LoadKey(keys[i], "v" + std::to_string(i), Ts(i + 1));
+  }
+  std::map<std::string, std::string> committed;
+  store.ForEachCommitted([&](const std::string& key, const std::string& value, Timestamp) {
+    committed[key] = value;
+  });
+  ASSERT_EQ(committed.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    EXPECT_EQ(store.Find(keys[i]), entries[i]) << "key length " << keys[i].size();
+    EXPECT_EQ(store.FindOrCreate(keys[i]), entries[i]);
+    EXPECT_EQ(committed[keys[i]], "v" + std::to_string(i));
+  }
+  // A key that is a prefix of a stored one is a different key.
+  EXPECT_EQ(store.Find(std::string(63, 'k')), nullptr);
+}
+
 // --- Algorithm 1 truth table ---
 
 class OccFixture : public ::testing::Test {
@@ -104,6 +229,13 @@ class OccFixture : public ::testing::Test {
 
   std::vector<ReadSetEntry> Reads(Timestamp read_wts) { return {{"k", read_wts}}; }
   std::vector<WriteSetEntry> Writes() { return {{"k", "v1"}}; }
+
+  // The committed value of "k", read under its entry's lock.
+  std::string CommittedValue() {
+    KeyEntry* e = store_.Find("k");
+    LockGuard<KeyLock> lock(e->lock);
+    return e->Value();
+  }
 
   VStore store_;
 };
@@ -182,7 +314,7 @@ TEST_F(OccFixture, CommitInstallsAndCleans) {
   ASSERT_EQ(OccValidate(store_, Reads(Ts(10)), Writes(), Ts(20)), TxnStatus::kValidatedOk);
   OccCommit(store_, Reads(Ts(10)), Writes(), Ts(20));
   KeyEntry* e = store_.Find("k");
-  EXPECT_EQ(e->value, "v1");
+  EXPECT_EQ(CommittedValue(), "v1");
   EXPECT_EQ(e->wts, Ts(20));
   EXPECT_EQ(e->rts, Ts(20));
   EXPECT_TRUE(e->readers.empty());
@@ -195,7 +327,7 @@ TEST_F(OccFixture, CommitRespectsThomasWriteRule) {
   store_.LoadKey("k", "newer", Ts(30));
   ASSERT_EQ(OccValidate(store_, {}, Writes(), Ts(20)), TxnStatus::kValidatedOk);
   OccCommit(store_, {}, Writes(), Ts(20));
-  EXPECT_EQ(store_.Find("k")->value, "newer");
+  EXPECT_EQ(CommittedValue(), "newer");
   EXPECT_EQ(store_.Find("k")->wts, Ts(30));
   EXPECT_TRUE(store_.Find("k")->writers.empty());
 }
@@ -212,7 +344,7 @@ TEST_F(OccFixture, CleanupRemovesWithoutInstalling) {
   ASSERT_EQ(OccValidate(store_, Reads(Ts(10)), Writes(), Ts(20)), TxnStatus::kValidatedOk);
   OccCleanup(store_, Reads(Ts(10)), Writes(), Ts(20));
   KeyEntry* e = store_.Find("k");
-  EXPECT_EQ(e->value, "v0");
+  EXPECT_EQ(CommittedValue(), "v0");
   EXPECT_EQ(e->wts, Ts(10));
   EXPECT_TRUE(e->readers.empty());
   EXPECT_TRUE(e->writers.empty());

@@ -72,7 +72,11 @@ TEST(FiveReplicaTest, FastAndSlowPathQuorums) {
   // n=5 (f=2): the fast path needs 4 matching votes; with one replica down it
   // is still reachable; with two down the slow path (3 votes) still commits.
   SystemOptions options = DefaultOptions(SystemKind::kMeerkat, /*cores=*/2, /*replicas=*/5);
-  options.retry = RetryPolicy::WithTimeout(2'000'000);
+  // The retransmit timer is also what moves a coordinator short of a fast
+  // quorum onto the slow path. 200 ms is far above delivery time, so the
+  // fourth vote always beats it in the fast-path phase, while the crash
+  // phases below still reach the slow path through it.
+  options.retry = RetryPolicy::WithTimeout(200'000'000);
   ThreadedHarness h(options);
   h.system().Load("k", "v0");
 

@@ -135,7 +135,11 @@ TEST(UdpFiveReplicaTest, FastAndSlowPathQuorumsOverUdp) {
   // n=5 (f=2) over the wire: fast path needs 4 matching votes; with two
   // replicas crashed the slow path (3 votes) must still commit.
   SystemOptions options = DefaultOptions(SystemKind::kMeerkat, /*cores=*/2, /*replicas=*/5);
-  options.retry = RetryPolicy::WithTimeout(2'000'000);
+  // The retransmit timer is also what moves a coordinator short of a fast
+  // quorum onto the slow path. 200 ms is far above delivery time, so the
+  // fourth vote always beats it in the fast-path phase, while the crash
+  // phases below still reach the slow path through it.
+  options.retry = RetryPolicy::WithTimeout(200'000'000);
   UdpHarness h(options);
   h.system().Load("k", "v0");
 
