@@ -54,15 +54,17 @@ int main() {
   std::mutex mu;
   std::condition_variable cv;
   auto run_txn = [&](TxnPlan plan) {
-    std::unique_lock<std::mutex> lock(mu);
     bool done = false;
     TxnOutcome outcome;
+    // Called without mu held: an empty transaction completes inside
+    // ExecuteAsync, and its callback takes mu.
     raw_session.ExecuteAsync(std::move(plan), [&](const TxnOutcome& o) {
       std::lock_guard<std::mutex> inner(mu);
       outcome = o;
       done = true;
       cv.notify_one();
     });
+    std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done; });
     printf("   -> %s via %s path (%llu retransmits)\n", ToString(outcome.result),
            ToString(outcome.path), static_cast<unsigned long long>(outcome.retransmits));

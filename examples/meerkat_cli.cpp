@@ -195,16 +195,18 @@ class Cli {
   }
 
   void RunTxn(TxnPlan plan, bool print_reads) {
-    std::unique_lock<std::mutex> lock(mu_);
     bool done = false;
     TxnOutcome outcome;
     TxnPlan copy = plan;  // Keys for read printing.
+    // Called without mu_ held: an empty transaction completes inside
+    // ExecuteAsync, and its callback takes mu_.
     session_->ExecuteAsync(std::move(plan), [&](const TxnOutcome& o) {
       std::lock_guard<std::mutex> inner(mu_);
       outcome = o;
       done = true;
       cv_.notify_one();
     });
+    std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return done; });
     if (outcome.committed()) {
       printf("COMMIT (%s path)\n", outcome.fast_path() ? "fast" : "slow");

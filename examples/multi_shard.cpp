@@ -29,31 +29,33 @@ int main() {
   size_t found = 0;
   for (int i = 0; found < 3 && i < 10000; i++) {
     std::string candidate = "item-" + std::to_string(i);
-    if (cluster.ShardForKey(candidate) == found) {
+    if (ShardForKey(candidate, options.num_shards) == found) {
       keys[found++] = candidate;
     }
   }
   for (const std::string& key : keys) {
     cluster.Load(key, "100");
-    printf("loaded %-8s on shard %zu\n", key.c_str(), cluster.ShardForKey(key));
+    printf("loaded %-8s on shard %zu\n", key.c_str(), ShardForKey(key, options.num_shards));
   }
 
-  ShardedSession session(1, &transport, &time_source, &cluster, 7);
+  auto session = cluster.CreateSession(1, &time_source, 7);
   std::mutex mu;
   std::condition_variable cv;
   auto run = [&](TxnPlan plan, const char* label) {
-    std::unique_lock<std::mutex> lock(mu);
     bool done = false;
     TxnResult result = TxnResult::kFailed;
-    session.ExecuteAsync(std::move(plan), [&](const TxnOutcome& outcome) {
+    // Called without mu held: an empty transaction completes inside
+    // ExecuteAsync, and its callback takes mu.
+    session->ExecuteAsync(std::move(plan), [&](const TxnOutcome& outcome) {
       std::lock_guard<std::mutex> inner(mu);
       result = outcome.result;
       done = true;
       cv.notify_one();
     });
+    std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done; });
     printf("%-32s -> %s (%zu shard%s involved)\n", label, ToString(result),
-           session.last_shard_count(), session.last_shard_count() == 1 ? "" : "s");
+           session->last_shard_count(), session->last_shard_count() == 1 ? "" : "s");
     return result;
   };
 
@@ -77,7 +79,7 @@ int main() {
   transport.DrainForTesting();
   int total = 0;
   for (const std::string& key : keys) {
-    ReadResult r = cluster.ReadAt(cluster.ShardForKey(key), 0, key);
+    ReadResult r = cluster.ReadAt(ShardForKey(key, options.num_shards), 0, key);
     printf("%-8s = %s\n", key.c_str(), r.value.c_str());
     total += std::stoi(r.value);
   }

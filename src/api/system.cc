@@ -16,14 +16,6 @@ namespace {
 // (clock-derived or counter-derived) exceeds it.
 constexpr Timestamp kLoadVersion{1, 0};
 
-int64_t DrawSkew(Rng& rng, int64_t max_skew) {
-  if (max_skew == 0) {
-    return 0;
-  }
-  return static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(2 * max_skew + 1))) -
-         max_skew;
-}
-
 // Installs the options' transport-level configuration: the batch governor,
 // and the fault plan into the transport's injector (if the transport has one
 // — the base Transport interface makes it optional). Must run before any

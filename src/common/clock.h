@@ -36,6 +36,17 @@ class SystemTimeSource : public TimeSource {
   }
 };
 
+// A session's constant clock offset, drawn uniformly from
+// [-max_skew_ns, +max_skew_ns]; draws nothing from `rng` when max_skew_ns is
+// 0. Each deployment keeps its own seed stream for it, so seeded runs replay.
+inline int64_t DrawSkew(Rng& rng, int64_t max_skew_ns) {
+  if (max_skew_ns == 0) {
+    return 0;
+  }
+  return static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(2 * max_skew_ns + 1))) -
+         max_skew_ns;
+}
+
 // A client's view of time: underlying source + fixed skew + bounded jitter.
 // Also guarantees strict local monotonicity, which keeps a single client's
 // proposed timestamps increasing even if the source is coarse.

@@ -88,10 +88,12 @@ void SendWithDecision(Transport* transport, Message* requests, size_t n,
   transport->SendMany(out, k);
 }
 
-void CommitCoordinator::Start(std::vector<Message>* decision) {
+void CommitCoordinator::Start(std::vector<Message>* out) {
   start_ns_ = phase_start_ns_ = MetricsNowNanos();
-  SendValidates(/*only_missing=*/false, decision);
-  ArmTimer(kValidatePhaseTimer);
+  SendValidates(/*only_missing=*/false, out);
+  if (out == nullptr) {
+    ArmTimer(kValidatePhaseTimer);
+  }
 }
 
 void CommitCoordinator::ArmTimer(uint64_t phase_timer) {
@@ -101,14 +103,23 @@ void CommitCoordinator::ArmTimer(uint64_t phase_timer) {
   }
 }
 
-void CommitCoordinator::SendValidates(bool only_missing, std::vector<Message>* decision) {
+void CommitCoordinator::SendValidates(bool only_missing, std::vector<Message>* out) {
   // Fan-outs are staged on the stack and handed to the transport as one
   // batch: in-process transports just loop, the UDP transport turns the whole
   // quorum into a single sendmmsg. Quorums are small, so one chunk almost
-  // always suffices; larger groups flush mid-loop.
+  // always suffices; larger groups flush mid-loop. With `out`, the owner
+  // sends the staged messages instead.
   Message batch[kFanoutChunk];
   size_t k = 0;
   size_t sent = 0;
+  auto flush = [&] {
+    if (out != nullptr) {
+      out->insert(out->end(), std::make_move_iterator(batch), std::make_move_iterator(batch + k));
+    } else {
+      transport_->SendMany(batch, k);
+    }
+    k = 0;
+  };
   for (ReplicaId r = 0; r < quorum_.n; r++) {
     if (only_missing && validate_replied_.count(group_base_ + r) != 0) {
       continue;
@@ -124,12 +135,11 @@ void CommitCoordinator::SendValidates(bool only_missing, std::vector<Message>* d
     msg.payload = std::move(req);
     sent++;
     if (++k == kFanoutChunk) {
-      SendWithDecision(transport_, batch, k, decision);
-      k = 0;
+      flush();
     }
   }
   if (k != 0) {
-    SendWithDecision(transport_, batch, k, decision);
+    flush();
   }
   if (sent > 1) {
     LocalFastPathCounters().payload_fanout_shares += sent - 1;

@@ -8,12 +8,11 @@
 //   ACCEPT   -> (f+1 matching accepts)                 decide
 //
 // The asynchronous COMMIT/ABORT decision is the owner's to send: the machine
-// only builds it (AppendDecision), so a MeerkatSession can carry it out with
-// its next request and a ShardedSession can send the conjunction of its
-// shards' decisions. It is runtime-agnostic: the owner (a session, or a test)
-// feeds replies in via OnMessage and timeouts via OnTimer; the machine emits
-// VALIDATE/ACCEPT rounds through the Transport and reports completion
-// through a callback.
+// only builds it (AppendDecision), so a MeerkatSession can carry the
+// conjunction of its shards' decisions out with its next request. It is
+// runtime-agnostic: the owner (a session, or a test) feeds replies in via
+// OnMessage and timeouts via OnTimer; the machine emits VALIDATE/ACCEPT
+// rounds through the Transport and reports completion through a callback.
 //
 // A BackupCoordinator finishes an orphaned transaction after its coordinator
 // failed: a Paxos-prepare-like CoordChange round establishes a new view and
@@ -96,10 +95,13 @@ class CommitCoordinator {
   CommitCoordinator(const CommitCoordinator&) = delete;
   CommitCoordinator& operator=(const CommitCoordinator&) = delete;
 
-  // Sends the VALIDATE fan-out. A non-empty `decision` (the owner's previous
-  // transaction's COMMIT/ABORT messages) rides in the same SendMany; see
-  // SendWithDecision.
-  void Start(std::vector<Message>* decision = nullptr);
+  // Starts the validation phase: sends the VALIDATE fan-out, then arms its
+  // retransmission timer. With `out`, the fan-out is appended there instead,
+  // and the owner sends it and then calls ArmValidateTimer (a session sends
+  // every shard's fan-out with its previous decision in one
+  // SendWithDecision).
+  void Start(std::vector<Message>* out = nullptr);
+  void ArmValidateTimer() { ArmTimer(kValidatePhaseTimer); }
 
   // Appends one CommitRequest{commit} per replica of the group to `out`. The
   // coordinator never sends its decision itself: once done() with a kCommit
@@ -129,7 +131,7 @@ class CommitCoordinator {
  private:
   enum class Phase { kValidating, kAccepting, kDone };
 
-  void SendValidates(bool only_missing, std::vector<Message>* decision = nullptr);
+  void SendValidates(bool only_missing, std::vector<Message>* out = nullptr);
   void SendAccepts();
   void Finish(TxnResult result, CommitPath path, AbortReason reason);
   void MaybeDecideValidation();

@@ -1,12 +1,26 @@
 #include "src/protocol/session.h"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
 
 #include "src/common/trace.h"
 #include "src/store/vstore.h"
 
 namespace meerkat {
+
+size_t ShardForKey(const std::string& key, size_t num_shards) {
+  if (num_shards <= 1) {
+    return 0;
+  }
+  // Mix the hash so adjacent std::hash values spread across shards.
+  uint64_t h = std::hash<std::string>{}(key);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 29;
+  return h % num_shards;
+}
 
 MeerkatSession::MeerkatSession(uint32_t client_id, Transport* transport,
                                TimeSource* time_source, const SessionOptions& options,
@@ -15,7 +29,8 @@ MeerkatSession::MeerkatSession(uint32_t client_id, Transport* transport,
       retry_(options.retry), self_(Address::Client(client_id)),
       clock_(time_source, options.clock_skew_ns, options.clock_jitter_ns, seed ^ 0x5bd1e995),
       rng_(seed), time_source_(time_source),
-      cache_(options.cache != nullptr && options.cache->enabled() ? options.cache : nullptr) {
+      cache_(options.cache != nullptr && options.cache->enabled() ? options.cache : nullptr),
+      coordinators_(std::max<size_t>(options.num_shards, 1)) {
   transport_->RegisterClient(client_id_, this);
 }
 
@@ -38,7 +53,10 @@ void MeerkatSession::ExecuteAsync(TxnPlan plan, TxnCallback cb) {
   get_outstanding_ = false;
   get_retries_ = 0;
   txn_retransmits_ = 0;
-  coordinator_.reset();
+  for (auto& coordinator : coordinators_) {
+    coordinator.reset();
+  }
+  participants_ = 0;
   TraceRecord(last_tid_, TraceStep::kTxnStart, static_cast<uint32_t>(plan_.ops.size()));
   IssueNextOp();
 }
@@ -101,9 +119,11 @@ void MeerkatSession::SendGet(const std::string& key) {
   get_key_ = key;
   Message msg;
   msg.src = self_;
-  // The execute phase reads from an arbitrary replica (paper §5.2.1); GETs
-  // load-balance across replicas and cores (paper §6.2).
-  msg.dst = Address::Replica(static_cast<ReplicaId>(rng_.NextBounded(options_.quorum.n)));
+  // The execute phase reads from an arbitrary replica of the key's shard
+  // (paper §5.2.1); GETs load-balance across replicas and cores (§6.2).
+  const size_t shard = ShardForKey(key, coordinators_.size());
+  msg.dst = Address::Replica(static_cast<ReplicaId>(
+      shard * options_.quorum.n + rng_.NextBounded(options_.quorum.n)));
   msg.core = static_cast<CoreId>(rng_.NextBounded(options_.cores_per_replica));
   msg.payload = GetRequest{last_tid_, get_seq_, key};
   TraceRecord(last_tid_, TraceStep::kGetSent, static_cast<uint32_t>(get_seq_));
@@ -115,44 +135,123 @@ void MeerkatSession::SendGet(const std::string& key) {
 
 void MeerkatSession::StartCommit() {
   last_ts_ = Timestamp{clock_.Now(), client_id_};
-
-  std::vector<WriteSetEntry> write_set;
-  write_set.reserve(write_buffer_.size());
-  for (auto& [key, value] : write_buffer_) {
-    write_set.push_back(WriteSetEntry{key, value});
+  if (read_set_.empty() && write_buffer_.empty()) {
+    // Nothing for any shard to validate: commits without a message.
+    CommitOutcome empty;
+    empty.result = TxnResult::kCommit;
+    empty.path = CommitPath::kFast;
+    OnCommitDone(empty);
+    return;
   }
 
-  // Null completion callback: the session polls done() after every feed
-  // (MaybeFinishCommit) because OnCommitDone's application callback may start
-  // the next transaction, which replaces this coordinator — a synchronous
-  // callback would destroy the coordinator mid-invocation.
-  coordinator_ = std::make_unique<CommitCoordinator>(
-      transport_, self_, options_.quorum, core_, last_tid_, last_ts_, read_set_,
-      std::move(write_set), retry_, kCoordTimerBase + txn_seq_ * 4,
-      /*done=*/nullptr);
-  coordinator_->set_force_slow_path(options_.force_slow_path);
-  coordinator_->set_priority(plan_.priority);
-  coordinator_->set_cache(cache_);  // Piggybacked invalidation hints.
-  // Watermark-GC stamp: this session runs one transaction at a time, so its
-  // oldest possibly-retransmitted timestamp is exactly the one it proposes.
-  coordinator_->set_oldest_inflight(last_ts_);
-  coordinator_->Start(&decision_);
+  // Each shard the transaction touches validates its slice of the sets at
+  // the same timestamp, in parallel (paper §5.2.4).
+  const size_t num_shards = coordinators_.size();
+  for (size_t shard = 0; shard < num_shards; shard++) {
+    std::vector<ReadSetEntry> reads;
+    std::vector<WriteSetEntry> writes;
+    // Sized on first use: one allocation per set and participant.
+    for (const ReadSetEntry& read : read_set_) {
+      if (ShardForKey(read.key, num_shards) == shard) {
+        reads.reserve(read_set_.size());
+        reads.push_back(read);
+      }
+    }
+    for (const auto& [key, value] : write_buffer_) {
+      if (ShardForKey(key, num_shards) == shard) {
+        writes.reserve(write_buffer_.size());
+        writes.push_back(WriteSetEntry{key, value});
+      }
+    }
+    if (reads.empty() && writes.empty()) {
+      continue;
+    }
+    // Null completion callback: the session polls done() after every feed
+    // (MaybeFinishCommit) because OnCommitDone's application callback may
+    // start the next transaction, which replaces the coordinators — a
+    // synchronous callback would destroy one mid-invocation.
+    auto coordinator = std::make_unique<CommitCoordinator>(
+        transport_, self_, options_.quorum, core_, last_tid_, last_ts_, std::move(reads),
+        std::move(writes), retry_, kCoordTimerBase + (txn_seq_ * num_shards + shard) * 4,
+        /*done=*/nullptr);
+    coordinator->set_group_base(static_cast<ReplicaId>(shard * options_.quorum.n));
+    coordinator->set_force_slow_path(options_.force_slow_path);
+    coordinator->set_priority(plan_.priority);
+    coordinator->set_cache(cache_);  // Piggybacked invalidation hints.
+    // Watermark-GC stamp: this session runs one transaction at a time, so its
+    // oldest possibly-retransmitted timestamp is exactly the one it proposes.
+    coordinator->set_oldest_inflight(last_ts_);
+    coordinator->Start(&validates_);
+    coordinators_[shard] = std::move(coordinator);
+    participants_++;
+  }
+  // Every shard's fan-out in one send, carrying the previous decision.
+  SendWithDecision(transport_, validates_.data(), validates_.size(), &decision_);
+  validates_.clear();
+  for (const auto& coordinator : coordinators_) {
+    if (coordinator != nullptr) {
+      coordinator->ArmValidateTimer();
+    }
+  }
 }
 
 void MeerkatSession::MaybeFinishCommit() {
-  if (coordinator_ == nullptr || !coordinator_->done()) {
+  if (participants_ == 0) {
     return;
   }
-  CommitOutcome outcome = coordinator_->outcome();
+  // Atomic commitment: commit iff every shard's validation round committed.
+  CommitOutcome outcome;
+  outcome.result = TxnResult::kCommit;
+  bool decided = false;
+  bool overload = false;
+  for (const auto& coordinator : coordinators_) {
+    if (coordinator == nullptr) {
+      continue;
+    }
+    if (!coordinator->done()) {
+      return;
+    }
+    const CommitOutcome& shard = coordinator->outcome();
+    if (shard.result == TxnResult::kFailed) {
+      if (outcome.result != TxnResult::kFailed) {
+        outcome.result = TxnResult::kFailed;
+        outcome.reason = shard.reason;
+      }
+    } else {
+      decided = true;
+      if (shard.result == TxnResult::kAbort && outcome.result == TxnResult::kCommit) {
+        outcome.result = TxnResult::kAbort;
+        outcome.reason = shard.reason;
+      }
+    }
+    overload = overload || shard.reason == AbortReason::kOverload;
+    outcome.path = std::max(outcome.path, shard.path);  // The slowest shard's.
+    outcome.retransmits += shard.retransmits;
+    outcome.epoch_bumped = outcome.epoch_bumped || shard.epoch_bumped;
+    outcome.backoff_hint_ns = std::max(outcome.backoff_hint_ns, shard.backoff_hint_ns);
+    if (outcome.conflict_hash == 0) {
+      outcome.conflict_hash = shard.conflict_hash;  // First shard to name a key wins.
+    }
+  }
+  if (outcome.result == TxnResult::kAbort && participants_ > 1) {
+    // A shed shard dominates: retry loops must back off, not treat it as a
+    // data conflict. Otherwise the conjunction is what killed it.
+    outcome.reason = overload ? AbortReason::kOverload : AbortReason::kShardAbort;
+  }
+  if (decided) {
+    // Held until after the callback: a transaction the callback starts
+    // carries it out with its first request. A shard that failed to decide
+    // gets the ABORT too, so none of them keeps the transaction pending.
+    for (const auto& coordinator : coordinators_) {
+      if (coordinator != nullptr) {
+        coordinator->AppendDecision(outcome.result == TxnResult::kCommit, &decision_);
+      }
+    }
+  }
   OnCommitDone(outcome);
 }
 
 void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
-  if (outcome.result != TxnResult::kFailed) {
-    // Held until after the callback: a transaction the callback starts
-    // carries it out with its first request.
-    coordinator_->AppendDecision(outcome.result == TxnResult::kCommit, &decision_);
-  }
   TxnOutcome out;
   out.result = outcome.result;
   out.path = outcome.path;
@@ -206,10 +305,13 @@ void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
 }
 
 void MeerkatSession::FailTxn(AbortReason reason) {
-  if (coordinator_ != nullptr) {
-    txn_retransmits_ += coordinator_->outcome().retransmits;
-    coordinator_.reset();
+  for (auto& coordinator : coordinators_) {
+    if (coordinator != nullptr) {
+      txn_retransmits_ += coordinator->outcome().retransmits;
+      coordinator.reset();
+    }
   }
+  participants_ = 0;
   TxnOutcome out;
   out.result = TxnResult::kFailed;
   out.reason = reason;
@@ -295,12 +397,17 @@ void MeerkatSession::Receive(Message&& msg) {
       return;
     }
     if (timer->timer_id >= kCoordTimerBase) {
-      if (coordinator_ != nullptr) {
-        if (!coordinator_->done() && DeadlineExceeded()) {
+      // While active, a started commit still has an undecided shard.
+      if (participants_ != 0) {
+        if (DeadlineExceeded()) {
           FailTxn(AbortReason::kDeadline);
           return;
         }
-        coordinator_->OnTimer(timer->timer_id);
+        for (const auto& coordinator : coordinators_) {
+          if (coordinator != nullptr && coordinator->OnTimer(timer->timer_id)) {
+            break;
+          }
+        }
         MaybeFinishCommit();
       }
       return;
@@ -321,8 +428,14 @@ void MeerkatSession::Receive(Message&& msg) {
     }
     return;
   }
-  if (coordinator_ != nullptr && active_) {
-    coordinator_->OnMessage(msg);
+  if (!active_) {
+    return;
+  }
+  // Replies carry the global replica id; shard s's replicas are
+  // [s * n, (s + 1) * n).
+  const size_t shard = msg.src.id / options_.quorum.n;
+  if (shard < coordinators_.size() && coordinators_[shard] != nullptr) {
+    coordinators_[shard]->OnMessage(msg);
     MaybeFinishCommit();
   }
 }

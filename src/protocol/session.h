@@ -1,5 +1,11 @@
 // MeerkatSession: one logical Meerkat client — the execute phase (paper
-// §5.2.1) plus ownership of the per-transaction CommitCoordinator.
+// §5.2.1) plus ownership of the per-transaction CommitCoordinators.
+//
+// A deployment may hash-partition its keys over several replica groups
+// (paper §5.2.4, ShardedCluster). The session then reads each key from its
+// shard, runs one CommitCoordinator per shard the transaction touches, all
+// validating at the same timestamp in parallel, and commits iff every one of
+// them decides commit. One shard, the default, is the single-group case.
 //
 // The session is an event-driven state machine so the same code runs under
 // the simulator (as a client actor) and under the threaded runtime (fed by
@@ -41,7 +47,13 @@ struct SessionOptions {
   // Inter-transaction read cache shared with the other sessions of this
   // client's System (DESIGN.md §13); null (the default) disables caching.
   ClientCache* cache = nullptr;
+  // Replica groups the keys are hash-partitioned over (ShardForKey). Shard s
+  // is global replicas [s * quorum.n, (s + 1) * quorum.n).
+  size_t num_shards = 1;
 };
+
+// The shard that owns `key` among `num_shards` (always 0 for one shard).
+size_t ShardForKey(const std::string& key, size_t num_shards);
 
 class MeerkatSession : public ClientSession {
  public:
@@ -92,15 +104,23 @@ class MeerkatSession : public ClientSession {
     }
     return *value;
   }
+  // Number of shards the last transaction's commit touched (0 for an empty
+  // or failed transaction).
+  size_t last_shard_count() const {
+    RecursiveMutexLock lock(mu_);
+    return participants_;
+  }
 
  private:
   // Timer-id space: low ids are execute-phase (GET retry) timers keyed by the
-  // get sequence number; coordinator timers live above kCoordTimerBase.
+  // get sequence number; coordinator timers live above kCoordTimerBase, four
+  // ids per (transaction, shard).
   static constexpr uint64_t kCoordTimerBase = 1ULL << 62;
 
   void IssueNextOp() REQUIRES(mu_);
   void SendGet(const std::string& key) REQUIRES(mu_);
   void StartCommit() REQUIRES(mu_);
+  // Once every participant's coordinator is done: their conjunction.
   void MaybeFinishCommit() REQUIRES(mu_);
   void OnCommitDone(const CommitOutcome& outcome) REQUIRES(mu_);
   // Terminates the attempt without a coordinator decision (GET retransmission
@@ -152,10 +172,15 @@ class MeerkatSession : public ClientSession {
   uint32_t get_retries_ GUARDED_BY(mu_) = 0;      // Retransmissions of the outstanding GET.
   uint64_t txn_retransmits_ GUARDED_BY(mu_) = 0;  // All execute-phase re-sends this attempt.
 
-  std::unique_ptr<CommitCoordinator> coordinator_ GUARDED_BY(mu_);
+  // One slot per shard (num_shards, sized once): the in-flight commit's
+  // coordinator for each shard it touches, null for the others.
+  std::vector<std::unique_ptr<CommitCoordinator>> coordinators_ GUARDED_BY(mu_);
+  size_t participants_ GUARDED_BY(mu_) = 0;  // Non-null slots.
+  // Every participant's VALIDATE fan-out, staged for one send (StartCommit).
+  std::vector<Message> validates_ GUARDED_BY(mu_);
   // The finished transaction's COMMIT/ABORT messages between its completion
-  // callback and their send (see OnCommitDone); empty otherwise. Its
-  // capacity is reused across transactions.
+  // callback and their send (see OnCommitDone); empty otherwise. The
+  // capacity of both vectors is reused across transactions.
   std::vector<Message> decision_ GUARDED_BY(mu_);
 };
 

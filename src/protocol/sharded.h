@@ -13,11 +13,13 @@
 //          <-----------------------------------'
 //   final = AND(shard decisions); ---COMMIT/ABORT---> all involved shards
 //
-// The per-shard CommitCoordinators decide (fast or slow path) but never send
-// the write phase themselves; the session sends the conjunction once it is
-// known, to every involved shard in one SendMany. A shard that voted to commit while another aborts receives ABORT,
-// and its replicas back out their readers/writers registrations — standard
-// OCC 2PC semantics on top of the unchanged replica code.
+// The client side is MeerkatSession with SessionOptions::num_shards > 1
+// (CreateSession below): one CommitCoordinator per involved shard decides
+// (fast or slow path), and the session sends the conjunction to every
+// involved shard with its next request, like a single-group decision. A
+// shard that voted to commit while another aborts receives ABORT, and its
+// replicas back out their readers/writers registrations — standard OCC 2PC
+// semantics on top of the unchanged replica code.
 //
 // Simplification vs a production system: backup-coordinator recovery for
 // in-flight *distributed* transactions is not wired up (the paper describes
@@ -27,19 +29,13 @@
 #ifndef MEERKAT_SRC_PROTOCOL_SHARDED_H_
 #define MEERKAT_SRC_PROTOCOL_SHARDED_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/api/client_session.h"
 #include "src/api/system.h"
-#include "src/common/annotations.h"
 #include "src/common/client_cache.h"
 #include "src/common/clock.h"
-#include "src/common/rng.h"
-#include "src/protocol/coordinator.h"
-#include "src/protocol/read_scratch.h"
 #include "src/protocol/replica.h"
 #include "src/protocol/session.h"
 
@@ -75,12 +71,12 @@ class ShardedCluster {
 
   const ShardedOptions& options() const { return options_; }
 
-  size_t ShardForKey(const std::string& key) const;
-  ReplicaId GlobalId(size_t shard, ReplicaId r) const {
-    return static_cast<ReplicaId>(shard * options_.system.quorum.n + r);
-  }
+  // A client of this deployment. The session's clock skew comes from its
+  // own seed, as the sessions of a System draw theirs from the System's.
+  std::unique_ptr<MeerkatSession> CreateSession(uint32_t client_id, TimeSource* time_source,
+                                                uint64_t seed);
 
-  // Loads a committed key onto its owning shard's replicas.
+  // Loads a committed key onto its owning shard's replicas (ShardForKey).
   void Load(const std::string& key, const std::string& value);
 
   ReadResult ReadAt(size_t shard, ReplicaId r, const std::string& key);
@@ -95,101 +91,9 @@ class ShardedCluster {
 
  private:
   const ShardedOptions options_;
+  Transport* const transport_;
   std::vector<std::unique_ptr<MeerkatReplica>> replicas_;
   ClientCache client_cache_;
-};
-
-// One logical client executing distributed transactions against a
-// ShardedCluster. Event-driven like MeerkatSession; runs under either
-// transport.
-class ShardedSession : public ClientSession {
- public:
-  ShardedSession(uint32_t client_id, Transport* transport, TimeSource* time_source,
-                 ShardedCluster* cluster, uint64_t seed);
-  ~ShardedSession() override;
-
-  void ExecuteAsync(TxnPlan plan, TxnCallback cb) override;
-  void Receive(Message&& msg) override;
-
-  uint32_t client_id() const override { return client_id_; }
-  RunStats& stats() override { return stats_; }
-  // Accessors lock: tests may poll from a different thread than the endpoint
-  // worker. The reference returned by last_read_set() is only stable while no
-  // transaction is in flight (quiesced inspection).
-  TxnId last_tid() const override {
-    RecursiveMutexLock lock(mu_);
-    return last_tid_;
-  }
-  Timestamp last_commit_ts() const override {
-    RecursiveMutexLock lock(mu_);
-    return last_ts_;
-  }
-  const std::vector<ReadSetEntry>& last_read_set() const override {
-    RecursiveMutexLock lock(mu_);
-    return read_set_;
-  }
-  std::vector<WriteSetEntry> last_write_set() const override;
-  std::optional<std::string> last_read_value(const std::string& key) const override;
-
-  // Number of shards the last transaction's commit touched.
-  size_t last_shard_count() const {
-    RecursiveMutexLock lock(mu_);
-    return coordinators_.size();
-  }
-
- private:
-  static constexpr uint64_t kCoordTimerBase = 1ULL << 62;
-
-  void IssueNextOp() REQUIRES(mu_);
-  void SendGet(const std::string& key) REQUIRES(mu_);
-  void StartCommit() REQUIRES(mu_);
-  void MaybeFinishCommit() REQUIRES(mu_);
-  void FailTxn(AbortReason reason) REQUIRES(mu_);
-  void FinishTxn(TxnOutcome outcome) REQUIRES(mu_);
-  bool DeadlineExceeded() const REQUIRES(mu_);
-
-  // Same threading contract as MeerkatSession: ExecuteAsync (app thread) and
-  // Receive (endpoint worker) both mutate per-transaction state; recursive
-  // because completion callbacks may start the next transaction synchronously.
-  mutable RecursiveMutex mu_;
-
-  const uint32_t client_id_;
-  Transport* const transport_;
-  ShardedCluster* const cluster_;
-  const RetryPolicy retry_;
-  const Address self_;
-  LooselySyncedClock clock_ GUARDED_BY(mu_);
-  Rng rng_ GUARDED_BY(mu_);
-  TimeSource* const time_source_;
-
-  RunStats stats_;
-
-  bool active_ GUARDED_BY(mu_) = false;
-  TxnPlan plan_ GUARDED_BY(mu_);
-  TxnCallback callback_ GUARDED_BY(mu_);
-  size_t next_op_ GUARDED_BY(mu_) = 0;
-  CoreId core_ GUARDED_BY(mu_) = 0;
-  uint64_t txn_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t txn_start_ns_ GUARDED_BY(mu_) = 0;
-  TxnId last_tid_ GUARDED_BY(mu_);
-  Timestamp last_ts_ GUARDED_BY(mu_);
-
-  std::vector<ReadSetEntry> read_set_ GUARDED_BY(mu_);
-  ReadValueScratch read_values_ GUARDED_BY(mu_);
-  std::map<std::string, std::string> write_buffer_ GUARDED_BY(mu_);
-
-  // Cluster-shared inter-transaction read cache (null when disabled).
-  ClientCache* const cache_;
-
-  bool get_outstanding_ GUARDED_BY(mu_) = false;
-  uint64_t get_seq_ GUARDED_BY(mu_) = 0;
-  std::string get_key_ GUARDED_BY(mu_);
-  uint32_t get_retries_ GUARDED_BY(mu_) = 0;
-  uint64_t txn_retransmits_ GUARDED_BY(mu_) = 0;
-
-  // shard -> per-shard coordinator for the in-flight commit.
-  std::map<size_t, std::unique_ptr<CommitCoordinator>> coordinators_ GUARDED_BY(mu_);
-  bool decision_sent_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace meerkat

@@ -15,13 +15,8 @@ namespace {
 // here quantify queue depth as seen by the drain loop.
 const MetricId kDrainBatchSize = MetricsRegistry::Histogram("transport.drain_batch_size");
 
-// Batch-governor telemetry: how wide the coalesced producer pushes ran and
-// why each delivered batch flushed (drained backlog with no linger window,
-// hit the size threshold, or the linger deadline expired).
+// Batch-governor telemetry: how wide the coalesced producer pushes ran.
 const MetricId kPushGroupWidth = MetricsRegistry::Histogram("batch.push_group_width");
-const MetricId kFlushDrain = MetricsRegistry::Counter("batch.flush_drain");
-const MetricId kFlushSize = MetricsRegistry::Counter("batch.flush_size");
-const MetricId kFlushDeadline = MetricsRegistry::Counter("batch.flush_deadline");
 
 }  // namespace
 
@@ -93,9 +88,8 @@ void ThreadedTransport::StartEndpoint(Endpoint* ep) {
     WarmupMetricsForThisThread();
     WarmupTraceForThisThread();
     // Batch drain: one lock acquisition per backlog instead of one per
-    // message. The vectors' capacity is reused across iterations.
+    // message. The vector's capacity is reused across iterations.
     std::vector<Message> batch;
-    std::vector<Message> extra;
     while (ep->inbox.PopAll(batch)) {
       // Governor state is setup-time configuration (set before traffic
       // flows), re-read each drain so options installed after registration
@@ -108,32 +102,6 @@ void ThreadedTransport::StartEndpoint(Endpoint* ep) {
           ep->receiver->Receive(std::move(msg));
         }
         continue;
-      }
-      if (opts.flush_delay_ns > 0 && batch.size() < opts.max_messages) {
-        // Linger: extend a small drain toward max_messages for up to the
-        // flush window. ClampedForHost zeroes the window on 1-CPU hosts,
-        // where this poll would starve the producer it waits for.
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::nanoseconds(opts.flush_delay_ns);
-        bool hit_size = false;
-        while (true) {
-          if (ep->inbox.TryPopAll(extra) > 0) {
-            for (Message& m : extra) {
-              batch.push_back(std::move(m));
-            }
-          }
-          if (batch.size() >= opts.max_messages) {
-            hit_size = true;
-            break;
-          }
-          if (ep->inbox.closed() || std::chrono::steady_clock::now() >= deadline) {
-            break;
-          }
-          channel_internal::CpuRelax();
-        }
-        MetricIncr(hit_size ? kFlushSize : kFlushDeadline);
-      } else {
-        MetricIncr(kFlushDrain);
       }
       MetricRecordValue(kDrainBatchSize, batch.size());
       // Chunk at max_messages so one huge backlog still bounds the epoch-gate

@@ -36,20 +36,10 @@ struct BatchOptions {
   // Flush a wire frame at this many payload bytes (kept under the 65507-byte
   // UDP datagram ceiling with headroom for the frame headers).
   uint32_t max_bytes = 57344;
-  // Linger window: after draining a smaller-than-max batch, a worker may poll
-  // for up to this long to extend it. 0 = flush immediately (the default:
-  // batching then only amortizes backlog that already exists, adding no
-  // latency at low load).
-  uint64_t flush_delay_ns = 0;
 
-  // Host-aware clamp: on a single-CPU host, spinning out a linger window
-  // starves the very producer that would extend the batch (the known 1-CPU
-  // threaded-load flake), so the window clamps to zero there.
-  BatchOptions ClampedForHost(unsigned hardware_concurrency) const {
+  // A zero max_messages would never flush, so it clamps to one, on any host.
+  BatchOptions ClampedForHost(unsigned /*hardware_concurrency*/) const {
     BatchOptions c = *this;
-    if (hardware_concurrency <= 1) {
-      c.flush_delay_ns = 0;
-    }
     if (c.max_messages == 0) {
       c.max_messages = 1;
     }
@@ -67,10 +57,6 @@ struct BatchOptions {
   }
   BatchOptions& WithMaxBytes(uint32_t b) {
     max_bytes = b;
-    return *this;
-  }
-  BatchOptions& WithFlushDelayNs(uint64_t d) {
-    flush_delay_ns = d;
     return *this;
   }
 };

@@ -1,6 +1,7 @@
 // The COMMIT/ABORT decision leaves MeerkatSession after the completion
 // callback: with the next transaction's first request when the callback
-// starts one, on its own as soon as the callback returns otherwise. The
+// starts one, on its own as soon as the callback returns otherwise, for a
+// single replica group and for a transaction across shards alike. The
 // scripted tests feed replies by hand through a transport that records every
 // send call; the last one runs over loopback UDP and checks the replicas
 // apply the decision.
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "src/protocol/session.h"
@@ -253,6 +255,104 @@ TEST(DecisionPiggybackFailureTest, FailedAttemptSendsNoDecision) {
   }
   ASSERT_EQ(result, TxnResult::kFailed);
   EXPECT_EQ(transport.Count(Kind::kCommit) + transport.Count(Kind::kAbort), 0u);
+}
+
+// Two shards of three replicas: shard s is global replicas [3s, 3s + 3).
+class TwoShardDecisionTest : public ::testing::Test {
+ protected:
+  TwoShardDecisionTest() {
+    SessionOptions options;
+    options.quorum = QuorumConfig::ForReplicas(3);
+    options.retry = RetryPolicy::WithTimeout(1000);
+    options.retry.max_attempts = 2;
+    options.num_shards = 2;
+    session_ = std::make_unique<MeerkatSession>(1, &transport_, &time_source_, options, 5);
+    for (int i = 0; keys_[0].empty() || keys_[1].empty(); i++) {
+      std::string key = "key-" + std::to_string(i);
+      keys_[ShardForKey(key, 2)] = key;
+    }
+  }
+
+  // Writes one key on each shard: a VALIDATE fan-out to all six replicas.
+  TxnPlan BothShards() { return Txn().Put(keys_[0], "x").Put(keys_[1], "y").Build(); }
+
+  // Feeds the VALIDATE votes of `shard`'s replicas for the in-flight
+  // transaction.
+  void Vote(size_t shard, TxnStatus status) {
+    const TxnId tid = session_->last_tid();
+    for (ReplicaId r = 0; r < 3; r++) {
+      session_->Receive(ValidateReplyFrom(static_cast<ReplicaId>(shard * 3 + r), tid, status));
+    }
+  }
+
+  RecordingTransport transport_;
+  SystemTimeSource time_source_;
+  std::unique_ptr<MeerkatSession> session_;
+  std::string keys_[2];
+};
+
+TEST_F(TwoShardDecisionTest, NextTransactionsFirstSendCarriesBothShardsCommits) {
+  TxnId first;
+  session_->ExecuteAsync(BothShards(), [&](const TxnOutcome& o) {
+    EXPECT_EQ(o.result, TxnResult::kCommit);
+    first = o.tid;
+    EXPECT_EQ(transport_.Count(Kind::kCommit), 0u) << "decision sent before the callback";
+    session_->ExecuteAsync(BothShards(), [](const TxnOutcome&) {});
+  });
+  ASSERT_EQ(transport_.calls.size(), 1u) << "both shards' VALIDATEs go out in one call";
+  EXPECT_EQ(transport_.calls[0].size(), 6u);
+  Vote(0, TxnStatus::kValidatedOk);
+  Vote(1, TxnStatus::kValidatedOk);
+  ASSERT_EQ(transport_.calls.size(), 2u);
+  const std::vector<Sent>& call = transport_.calls[1];
+  ASSERT_EQ(call.size(), 12u);
+  std::set<ReplicaId> replicas;
+  for (size_t i = 0; i < 12; i += 2) {
+    EXPECT_EQ(call[i].kind, Kind::kCommit);
+    EXPECT_EQ(call[i].tid, first);
+    EXPECT_EQ(call[i + 1].kind, Kind::kValidate);
+    EXPECT_EQ(call[i].replica, call[i + 1].replica);
+    EXPECT_EQ(call[i].core, call[i + 1].core);
+    replicas.insert(call[i].replica);
+  }
+  EXPECT_EQ(replicas.size(), 6u) << "the decision must reach every replica of both shards";
+}
+
+TEST_F(TwoShardDecisionTest, OneShardFailingSendsAbortToEveryParticipant) {
+  std::optional<TxnResult> result;
+  session_->ExecuteAsync(BothShards(), [&](const TxnOutcome& o) { result = o.result; });
+  Vote(0, TxnStatus::kValidatedOk);  // Shard 0 decides commit; shard 1 is silent.
+  for (int i = 0; i < 10 && !result.has_value(); i++) {
+    Message fire;
+    fire.src = fire.dst = Address::Client(1);
+    fire.payload = TimerFire{transport_.timers.back()};  // Shard 1's re-armed timer.
+    session_->Receive(std::move(fire));
+  }
+  ASSERT_EQ(result, TxnResult::kFailed);
+  EXPECT_EQ(transport_.Count(Kind::kCommit), 0u);
+  ASSERT_EQ(transport_.Count(Kind::kAbort), 6u);
+  std::set<ReplicaId> aborted;
+  for (const Sent& s : transport_.calls.back()) {
+    EXPECT_EQ(s.kind, Kind::kAbort);
+    aborted.insert(s.replica);
+  }
+  EXPECT_EQ(aborted.size(), 6u) << "the failed shard must get the ABORT too";
+}
+
+TEST(EmptyTransactionTest, CommitsWithoutAMessageOnOneShardAndOnThree) {
+  for (size_t shards : {1u, 3u}) {
+    RecordingTransport transport;
+    SystemTimeSource time_source;
+    SessionOptions options;
+    options.quorum = QuorumConfig::ForReplicas(3);
+    options.num_shards = shards;
+    MeerkatSession session(1, &transport, &time_source, options, 5);
+    std::optional<TxnResult> result;
+    session.ExecuteAsync(Txn().Build(), [&](const TxnOutcome& o) { result = o.result; });
+    EXPECT_EQ(result, TxnResult::kCommit) << shards << " shard(s)";
+    EXPECT_TRUE(transport.calls.empty()) << shards << " shard(s)";
+    EXPECT_EQ(session.last_shard_count(), 0u);
+  }
 }
 
 TEST(DecisionPiggybackUdpTest, IdleCallbackDecisionIsAppliedByEveryReplica) {

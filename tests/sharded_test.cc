@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
+#include "src/common/metrics.h"
+#include "src/common/trace.h"
 #include "src/protocol/sharded.h"
 #include "src/sim/sim_time_source.h"
 #include "src/sim/simulator.h"
@@ -16,20 +19,25 @@ namespace {
 
 class ShardedFixture : public ::testing::Test {
  protected:
-  ShardedFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
+  explicit ShardedFixture(bool force_slow_path = false)
+      : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
     ShardedOptions options;
     options.num_shards = 3;
     options.system.quorum = QuorumConfig::ForReplicas(3);
     options.system.cores_per_replica = 2;
+    options.system.force_slow_path = force_slow_path;
     cluster_ = std::make_unique<ShardedCluster>(options, &transport_);
   }
 
-  std::unique_ptr<ShardedSession> MakeSession(uint32_t client_id, uint64_t seed = 1) {
-    return std::make_unique<ShardedSession>(client_id, &transport_, &time_source_,
-                                            cluster_.get(), seed);
+  std::unique_ptr<MeerkatSession> MakeSession(uint32_t client_id, uint64_t seed = 1) {
+    return cluster_->CreateSession(client_id, &time_source_, seed);
   }
 
-  TxnResult RunTxn(ShardedSession& session, TxnPlan plan) {
+  size_t Shard(const std::string& key) const {
+    return ShardForKey(key, cluster_->options().num_shards);
+  }
+
+  TxnResult RunTxn(MeerkatSession& session, TxnPlan plan) {
     std::optional<TxnResult> result;
     SimActor* actor = transport_.ActorFor(Address::Client(session.client_id()), 0);
     sim_.Schedule(sim_.now() + 1, actor, [&](SimContext&) {
@@ -43,7 +51,7 @@ class ShardedFixture : public ::testing::Test {
   // Committed value visible at every replica of the key's shard (asserts
   // convergence); empty if absent.
   std::string CommittedValue(const std::string& key) {
-    size_t shard = cluster_->ShardForKey(key);
+    size_t shard = Shard(key);
     ReadResult first = cluster_->ReadAt(shard, 0, key);
     for (ReplicaId r = 1; r < 3; r++) {
       ReadResult other = cluster_->ReadAt(shard, r, key);
@@ -58,7 +66,7 @@ class ShardedFixture : public ::testing::Test {
     std::string a = "key-a";
     for (int i = 0; i < 1000; i++) {
       std::string b = "key-b" + std::to_string(i);
-      if (cluster_->ShardForKey(b) != cluster_->ShardForKey(a)) {
+      if (Shard(b) != Shard(a)) {
         return {a, b};
       }
     }
@@ -96,6 +104,70 @@ TEST_F(ShardedFixture, CrossShardTxnCommitsAtomically) {
   EXPECT_EQ(CommittedValue(b), "b1");
 }
 
+#if MEERKAT_TRACE
+// The steps of one transaction's trace, in order.
+std::vector<TraceStep> Steps(const TxnId& tid) {
+  std::vector<TraceStep> steps;
+  for (const TraceEvent& e : CollectTrace(tid)) {
+    steps.push_back(e.step);
+  }
+  return steps;
+}
+
+size_t CountOf(const std::vector<TraceStep>& steps, TraceStep step) {
+  return static_cast<size_t>(std::count(steps.begin(), steps.end(), step));
+}
+
+TEST_F(ShardedFixture, CrossShardTxnTracesLikeASingleGroupOne) {
+  auto [a, b] = CrossShardKeys();
+  cluster_->Load(a, "a0");
+  cluster_->Load(b, "b0");
+  auto session = MakeSession(1);
+  ResetTraces();
+  ASSERT_EQ(RunTxn(*session, Txn().Rmw(a, "a1").Build()), TxnResult::kCommit);
+  const std::vector<TraceStep> single = Steps(session->last_tid());
+  ASSERT_EQ(RunTxn(*session, Txn().Rmw(a, "a2").Rmw(b, "b2").Build()), TxnResult::kCommit);
+  const std::vector<TraceStep> cross = Steps(session->last_tid());
+
+  for (const std::vector<TraceStep>* steps : {&single, &cross}) {
+    ASSERT_FALSE(steps->empty());
+    EXPECT_EQ(steps->front(), TraceStep::kTxnStart);
+    EXPECT_EQ(steps->back(), TraceStep::kTxnCommitted);
+  }
+  // The same steps, once per read and once per participant shard.
+  for (TraceStep step : {TraceStep::kGetSent, TraceStep::kGetReply, TraceStep::kValidateSent,
+                         TraceStep::kDecisionBroadcast}) {
+    EXPECT_EQ(CountOf(single, step), 1u) << ToString(step);
+    EXPECT_EQ(CountOf(cross, step), 2u) << ToString(step);
+  }
+}
+#endif  // MEERKAT_TRACE
+
+class ShardedSlowPathFixture : public ShardedFixture {
+ protected:
+  ShardedSlowPathFixture() : ShardedFixture(/*force_slow_path=*/true) {}
+};
+
+TEST_F(ShardedSlowPathFixture, ForceSlowPathTakesTheSlowPathInEveryShard) {
+  auto [a, b] = CrossShardKeys();
+  cluster_->Load(a, "a0");
+  cluster_->Load(b, "b0");
+  auto session = MakeSession(1);
+  const MetricsSnapshot before = SnapshotMetrics(false);
+  ASSERT_EQ(RunTxn(*session, Txn().Rmw(a, "a1").Rmw(b, "b1").Build()), TxnResult::kCommit);
+  const MetricsSnapshot after = SnapshotMetrics(false);
+  EXPECT_EQ(session->last_shard_count(), 2u);
+  EXPECT_EQ(session->stats().slow_path_commits, 1u);
+  EXPECT_EQ(after.CounterValue("coord.slow_path_decisions") -
+                before.CounterValue("coord.slow_path_decisions"),
+            2u);
+  EXPECT_EQ(after.CounterValue("coord.fast_path_decisions") -
+                before.CounterValue("coord.fast_path_decisions"),
+            0u);
+  EXPECT_EQ(CommittedValue(a), "a1");
+  EXPECT_EQ(CommittedValue(b), "b1");
+}
+
 TEST_F(ShardedFixture, OneShardAbortAbortsWholeTxn) {
   auto [a, b] = CrossShardKeys();
   cluster_->Load(a, "a0");
@@ -103,7 +175,7 @@ TEST_F(ShardedFixture, OneShardAbortAbortsWholeTxn) {
 
   // Poison shard(b): install a newer committed version of b so a transaction
   // holding a stale read of b must fail validation there.
-  size_t shard_b = cluster_->ShardForKey(b);
+  size_t shard_b = Shard(b);
   Timestamp stale_version = cluster_->ReadAt(shard_b, 0, b).wts;
   for (ReplicaId r = 0; r < 3; r++) {
     cluster_->replica(shard_b, r)->LoadKey(b, "b-newer", Timestamp{500, 9});
@@ -167,7 +239,7 @@ TEST_F(ShardedFixture, CrossShardHistoryIsSerializable) {
   }
 
   struct Loop {
-    ShardedSession* session;
+    MeerkatSession* session;
     Rng rng{0};
     std::vector<std::string>* keys;
     SerializabilityChecker* checker;
@@ -188,7 +260,7 @@ TEST_F(ShardedFixture, CrossShardHistoryIsSerializable) {
     }
   };
 
-  std::vector<std::unique_ptr<ShardedSession>> sessions;
+  std::vector<std::unique_ptr<MeerkatSession>> sessions;
   std::vector<std::unique_ptr<Loop>> loops;
   transport_.faults().SetMaxExtraDelay(3000);  // Reorder across replicas.
   for (uint32_t c = 1; c <= 16; c++) {

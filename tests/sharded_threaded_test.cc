@@ -28,7 +28,7 @@ class ShardedThreadedFixture : public ::testing::Test {
   ~ShardedThreadedFixture() override { transport_.Stop(); }
 
   // Blocking one-shot transaction through a fresh session.
-  TxnResult Run(ShardedSession& session, TxnPlan plan) {
+  TxnResult Run(MeerkatSession& session, TxnPlan plan) {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -47,11 +47,15 @@ class ShardedThreadedFixture : public ::testing::Test {
     return result;
   }
 
+  size_t Shard(const std::string& key) const {
+    return ShardForKey(key, cluster_->options().num_shards);
+  }
+
   std::pair<std::string, std::string> CrossShardKeys() {
     std::string a = "alpha";
     for (int i = 0; i < 1000; i++) {
       std::string b = "beta" + std::to_string(i);
-      if (cluster_->ShardForKey(b) != cluster_->ShardForKey(a)) {
+      if (Shard(b) != Shard(a)) {
         return {a, b};
       }
     }
@@ -67,15 +71,15 @@ TEST_F(ShardedThreadedFixture, CrossShardCommitOnRealThreads) {
   auto [a, b] = CrossShardKeys();
   cluster_->Load(a, "0");
   cluster_->Load(b, "0");
-  ShardedSession session(1, &transport_, &time_source_, cluster_.get(), 7);
+  auto session = cluster_->CreateSession(1, &time_source_, 7);
   TxnPlan plan;
   plan.ops.push_back(Op::Rmw(a, "1"));
   plan.ops.push_back(Op::Rmw(b, "1"));
-  ASSERT_EQ(Run(session, plan), TxnResult::kCommit);
-  EXPECT_EQ(session.last_shard_count(), 2u);
+  ASSERT_EQ(Run(*session, plan), TxnResult::kCommit);
+  EXPECT_EQ(session->last_shard_count(), 2u);
   transport_.DrainForTesting();
-  EXPECT_EQ(cluster_->ReadAt(cluster_->ShardForKey(a), 0, a).value, "1");
-  EXPECT_EQ(cluster_->ReadAt(cluster_->ShardForKey(b), 1, b).value, "1");
+  EXPECT_EQ(cluster_->ReadAt(Shard(a), 0, a).value, "1");
+  EXPECT_EQ(cluster_->ReadAt(Shard(b), 1, b).value, "1");
 }
 
 TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
@@ -88,8 +92,8 @@ TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
-      ShardedSession session(static_cast<uint32_t>(t + 1), &transport_, &time_source_,
-                             cluster_.get(), static_cast<uint64_t>(t) * 13 + 5);
+      auto session = cluster_->CreateSession(static_cast<uint32_t>(t + 1), &time_source_,
+                                             static_cast<uint64_t>(t) * 13 + 5);
       Rng rng(static_cast<uint64_t>(t) + 99);
       for (int i = 0; i < 25; i++) {
         int64_t amount = static_cast<int64_t>(rng.NextInRange(1, 9));
@@ -103,7 +107,7 @@ TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
         plan.ops.push_back(Op::RmwFn(to, [amount](const std::string& v) {
           return std::to_string(std::stoll(v) + amount);
         }));
-        if (Run(session, plan) == TxnResult::kCommit) {
+        if (Run(*session, plan) == TxnResult::kCommit) {
           commits.fetch_add(1);
         }
       }
@@ -116,8 +120,8 @@ TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
   EXPECT_GT(commits.load(), 0);
   // The cross-shard invariant: totals conserved on every replica pair.
   for (ReplicaId r = 0; r < 3; r++) {
-    int64_t total = std::stoll(cluster_->ReadAt(cluster_->ShardForKey(a), r, a).value) +
-                    std::stoll(cluster_->ReadAt(cluster_->ShardForKey(b), r, b).value);
+    int64_t total = std::stoll(cluster_->ReadAt(Shard(a), r, a).value) +
+                    std::stoll(cluster_->ReadAt(Shard(b), r, b).value);
     EXPECT_EQ(total, 2000) << "replica " << r;
   }
 }

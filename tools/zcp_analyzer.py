@@ -415,6 +415,28 @@ RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?([\w:]+(?:\s*<[^;()]*?>)?)\s*[&*]*\s*"
     r"(\w+)\s*:")
 ATOMIC_TYPE_RE = re.compile(r"^(?:std::)?atomic")
+# Containers whose elements are the atomics: `arr[i].store(...)` is an op on
+# the member `arr` (std::array<std::atomic<T>, N>, unique_ptr<atomic<T>[]>).
+ATOMIC_ARRAY_RE = re.compile(
+    r"^(?:std::)?(?:array|unique_ptr)\s*<\s*(?:std::)?atomic\b")
+
+
+# Element-holding templates: `v[i].x` and `p->x` reach a member of the
+# first template argument.
+ELEMENT_HOLDER_RE = re.compile(
+    r"^(?:std::)?(?:vector|array|deque|unique_ptr|shared_ptr)\s*<\s*([\w:]+)")
+
+
+def class_of_type(t):
+    m = ELEMENT_HOLDER_RE.match(t)
+    if m:
+        t = m.group(1)
+    return t.split("<")[0].split("::")[-1]
+
+
+def is_atomic_type(t):
+    return bool(ATOMIC_TYPE_RE.match(t) or "atomic" in t.split("<")[0] or
+                ATOMIC_ARRAY_RE.match(t))
 LOCK_MEMBER_TYPES = {"Mutex", "RecursiveMutex", "SharedMutex", "KeyLock",
                      "std::mutex", "std::recursive_mutex", "std::shared_mutex"}
 
@@ -641,7 +663,7 @@ class InternalBackend:
                 cls = classes[-1]
                 base = m.group("type")
                 model.class_members[cls][m.group("name")] = base
-                if ATOMIC_TYPE_RE.match(base) or "atomic" in base.split("<")[0]:
+                if is_atomic_type(base):
                     model.atomic_members[cls].add(m.group("name"))
         elif not at_class:
             m = GLOBAL_DECL_RE.match(stmt)
@@ -790,8 +812,7 @@ class InternalBackend:
             cls = func.param_types[head]
             parts = parts[1:]
         elif func.cls and head in self.model.class_members.get(func.cls, {}):
-            cls = self.model.class_members[func.cls][head].split("<")[0] \
-                .split("::")[-1]
+            cls = class_of_type(self.model.class_members[func.cls][head])
             parts = parts[1:]
         else:
             return None
@@ -802,7 +823,7 @@ class InternalBackend:
             nxt = self.model.class_members.get(cls, {}).get(p)
             if nxt is None:
                 return cls if p == parts[-1] else None
-            cls = nxt.split("<")[0].split("::")[-1]
+            cls = class_of_type(nxt)
         return cls
 
     def lock_identity(self, func, expr):
@@ -879,9 +900,11 @@ class InternalBackend:
                 "ZCPA004" in sup_at(m.start()),
                 func.qual))
         for m in ATOMIC_OP_RE.finditer(body):
-            recv, op = m.group(1), m.group(2)
+            op = m.group(2)
+            # `e->words[i].load` operates on the member `words`.
+            recv = re.sub(r"\[[^\]]*\]", "", m.group(1)).strip()
             member = re.split(r"\.|->", recv)[-1].strip()
-            member = re.sub(r"\[[^\]]*\]|\(\)", "", member).strip()
+            member = re.sub(r"\(\)", "", member).strip()
             obj = self.atomic_object(func, recv, member, op)
             if obj is None:
                 continue
@@ -916,14 +939,17 @@ class InternalBackend:
                 return f"{owner}::{member}"
         # Local atomic variable?
         t = func.local_types.get(head, "")
-        if ATOMIC_TYPE_RE.match(t) or t == "atomic":
+        if is_atomic_type(t):
             return f"{func.qual}::{head}(local)"
         # A receiver whose type we *did* resolve (local, param, member of
         # the enclosing class) and that was not atomic above is a definitive
         # negative — `for (auto& table : pending_) table.clear();` must not
-        # fall through to the name-match below.
-        if head in func.local_types or head in func.param_types or \
-                (func.cls and head in model.class_members.get(func.cls, {})):
+        # fall through to the name-match below. A member reached through an
+        # `auto` local (`slab->counters[i]`) is not resolved by it, though.
+        auto_chain = func.local_types.get(head) == "auto" and member != head
+        if not auto_chain and (
+                head in func.local_types or head in func.param_types or
+                (func.cls and head in model.class_members.get(func.cls, {}))):
             return None
         # Method names shared with containers/condvars never qualify by
         # name match alone; only unambiguous atomic ops may use it.
@@ -1482,6 +1508,7 @@ def self_test(root):
         "bad_transitive_alloc.cc": {"ZCPA002"},
         "bad_cross_partition.cc": {"ZCPA003"},
         "bad_implicit_seq_cst.cc": {"ZCPA004"},
+        "bad_implicit_seq_cst_array.cc": {"ZCPA004"},
         "bad_global_touch.cc": {"ZCPA005"},
         "bad_lock_order_cycle.cc": {"ZCPA010"},
         "clean.cc": set(),
@@ -1530,10 +1557,15 @@ def self_test(root):
         if "ZCPA001" not in got:
             failures.append("clean_slow_path_boundary.cc without the marker: "
                             "expected ZCPA001 not reported")
-    # Inventory drift fixture: same TU, one stale + one matching baseline.
-    drift_rel = "tools/zcp_analyzer_fixtures/inventory_subject.cc"
-    for baseline, expect_drift in (("atomic_order_stale.json", True),
-                                   ("atomic_order_ok.json", False)):
+    # Inventory drift fixtures: one TU against a stale and a matching
+    # baseline, and arrays of atomics against their exact inventory.
+    inventory_cases = (
+        ("inventory_subject.cc", "atomic_order_stale.json", True),
+        ("inventory_subject.cc", "atomic_order_ok.json", False),
+        ("inventory_atomic_arrays.cc", "atomic_order_arrays.json", False),
+    )
+    for subject, baseline, expect_drift in inventory_cases:
+        drift_rel = f"tools/zcp_analyzer_fixtures/{subject}"
         bpath = fixtures / baseline
         if not (root / drift_rel).exists() or not bpath.exists():
             failures.append(f"missing inventory fixture {baseline}")
@@ -1551,7 +1583,8 @@ def self_test(root):
         for f in failures:
             print(f"zcp_analyzer self-test FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"zcp_analyzer self-test: {len(expectations) + 3} fixture "
+    print(f"zcp_analyzer self-test: "
+          f"{len(expectations) + 1 + len(inventory_cases)} fixture "
           "checks OK")
     return 0
 
